@@ -15,7 +15,8 @@ let fault_delete_window = Fault.register "citrus.delete.window"
 
 (* Fires at every node visit of the wait-free search, while the traversal
    holds only the read lock (never node locks, so a [raise] action unwinds
-   cleanly through the Fun.protect). Parking a reader mid-traversal with a
+   cleanly through [get]'s exception handler, which exits the read-side
+   critical section). Parking a reader mid-traversal with a
    delay action is how the mutation suite makes a broken grace period
    reclaim the very node the reader stands on. *)
 let fault_read_step = Fault.register "citrus.read.step"
@@ -46,10 +47,9 @@ module type ORDERED = sig
   val compare : t -> t -> int
 end
 
-(* Directions double as indices into the [children]/[tags] arrays, mirroring
-   the paper's child[direction]. *)
-(* Child indices and the pure traversal/validation fragments live in
-   Citrus_proto, shared with the model checker (lib/modelcheck). *)
+(* Directions (the paper's child[direction] index) and the pure
+   traversal/validation fragments live in Citrus_proto, shared with the
+   model checker (lib/modelcheck). *)
 let left = Citrus_proto.left
 let right = Citrus_proto.right
 
@@ -69,36 +69,34 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   let node_cls =
     Lockdep.new_class ~ordered:true Lockdep.Tree_node ("citrus/" ^ R.name)
 
-  (* Sentinel keys: the paper's -1 / infinity dummies (Section 2). The root
-     holds Neg_inf; its right child holds Pos_inf; every real node lives in
-     the left subtree of the Pos_inf node. *)
-  type skey = Neg_inf | Key of K.t | Pos_inf
-
-  let compare_skey a b =
-    match (a, b) with
-    | Neg_inf, Neg_inf | Pos_inf, Pos_inf -> 0
-    | Neg_inf, _ | _, Pos_inf -> -1
-    | _, Neg_inf | Pos_inf, _ -> 1
-    | Key x, Key y -> K.compare x y
-
-  type 'v node = {
-    key : skey; (* never changes (Section 2) *)
-    value : 'v option; (* None only in sentinels; never changes *)
-    children : 'v node option Atomic.t array; (* length 2: left, right *)
-    tags : 'v tag_array; (* per-child ABA tags, length 2 *)
-    mutable marked : bool; (* accessed only under [lock] *)
-    lock : Spinlock.t;
-    mutable reclaimed : bool;
-        (* Set by deferred reclamation one grace period after the node is
-           unlinked; a reader observing it has found a use-after-free. *)
-    mutable shadow : San.record option;
-        (* Reclamation-sanitizer record, attached by [retire] while the
-           sanitizer is armed; None otherwise. *)
-  }
-
-  and 'v tag_array = int Atomic.t array
-  (* Tags are atomics because get reads prev.tag[dir] inside the read-side
-     critical section while updates increment it under the node lock. *)
+  (* A child slot holds [Nil] (an immediate: an empty slot is no block) or
+     a [Node] whose record is inline (no [Some] box), so each level of the
+     wait-free walk costs two dependent loads: the node, whose first fields
+     are the key and both slots, then the [Atomic.t] of the chosen slot,
+     whose content is the next node itself. Keys are raw [K.t]: the
+     sentinel (see [t]) is never compared, so no wrapper type is needed. *)
+  type 'v node =
+    | Nil
+    | Node of {
+        key : K.t; (* never changes (Section 2) *)
+        left : 'v node Atomic.t;
+        right : 'v node Atomic.t;
+        mutable reclaimed : bool;
+            (* Set by deferred reclamation one grace period after the node
+               is unlinked; a reader observing it has found a
+               use-after-free. *)
+        value : 'v option; (* None only in the sentinel; never changes *)
+        left_tag : int Atomic.t;
+        right_tag : int Atomic.t;
+            (* Per-child ABA tags. Atomics because get reads
+               prev.tag[dir] inside the read-side critical section while
+               updates increment it under the node lock. *)
+        mutable marked : bool; (* accessed only under [lock] *)
+        lock : Spinlock.t;
+        mutable shadow : San.record option;
+            (* Reclamation-sanitizer record, attached by [retire] while
+               the sanitizer is armed; None otherwise. *)
+      }
 
   type hooks = {
     mutable on_restart : unit -> unit;
@@ -108,7 +106,13 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   }
 
   type 'v t = {
-    root : 'v node;
+    sentinel : 'v node Atomic.t;
+        (* The paper's infinity dummy (Section 2): every real node lives in
+           its left subtree, and it is never deleted. [Nil] until the first
+           insert installs it, keyed by that insert's key — the walk starts
+           below the sentinel and recognises it by identity, so its key is
+           never compared. The paper's -1 root above it is dropped: its
+           only child is the sentinel, so no update ever locked it. *)
     rcu : R.t;
     reclamation : bool;
     reclaimer : Rec.t option;
@@ -143,25 +147,56 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         (* Some iff the tree has reclamation on and no reclaimer (the
            inline-synchronize configuration) *)
     bag : Rec.producer option; (* Some iff the tree has a reclaimer *)
+    mutable prev : 'v node;
+    mutable tag : int;
+    mutable dir : int;
+        (* [get]'s results besides the node it returns: that node's parent
+           [prev], the direction from [prev] to it, and the snapshot of
+           prev.tag[dir] taken inside the read-side critical section.
+           Written here rather than returned, so a search allocates
+           nothing. *)
   }
 
   let new_node key value =
-    {
-      key;
-      value;
-      children = [| Atomic.make None; Atomic.make None |];
-      tags = [| Atomic.make 0; Atomic.make 0 |];
-      marked = false;
-      lock = Spinlock.create ~cls:node_cls ();
-      reclaimed = false;
-      shadow = None;
-    }
+    Node
+      {
+        key;
+        left = Atomic.make Nil;
+        right = Atomic.make Nil;
+        reclaimed = false;
+        value;
+        left_tag = Atomic.make 0;
+        right_tag = Atomic.make 0;
+        marked = false;
+        lock = Spinlock.create ~cls:node_cls ();
+        shadow = None;
+      }
+
+  (* Field access on a node the caller reached or holds. The update paths
+     only apply these to [Node]s; [Nil] has no fields. *)
+  let absent () = invalid_arg "Citrus: field of an empty child slot"
+
+  let slot n dir =
+    match n with
+    | Node r -> if dir = left then r.left else r.right
+    | Nil -> absent ()
+
+  let tag_slot n dir =
+    match n with
+    | Node r -> if dir = left then r.left_tag else r.right_tag
+    | Nil -> absent ()
+
+  let child n dir = Atomic.get (slot n dir)
+  let lock n = match n with Node r -> r.lock | Nil -> absent ()
+  let marked n = match n with Node r -> r.marked | Nil -> absent ()
+  let mark n = match n with Node r -> r.marked <- true | Nil -> absent ()
+
+  (* An unlinked, unlocked node with [n]'s key and value and no children:
+     the successor copy of a two-child delete, and a rotation's copy. *)
+  let copy n = match n with Node r -> new_node r.key r.value | Nil -> absent ()
 
   let create ?max_threads ?(reclamation = false)
       ?(call_rcu = Repro_rcu.Reclaimer.call_rcu_enabled ()) () =
-    let infinity_node = new_node Pos_inf None in
-    let root = new_node Neg_inf None in
-    Atomic.set root.children.(right) (Some infinity_node);
     let rcu = R.create ?max_threads () in
     (* The reclaimer is per tree instance (one background domain per
        [R.t]); [shutdown] stops and joins it. *)
@@ -178,7 +213,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     let use_after_reclaim = Stats.counter group "use_after_reclaim" in
     let rotations = Stats.counter group "rotations" in
     {
-      root;
+      sentinel = Atomic.make Nil;
       rcu;
       reclamation;
       reclaimer;
@@ -212,6 +247,9 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
            Some (Defer.create tree.rcu)
          else None);
       bag = Option.map Rec.new_producer tree.reclaimer;
+      prev = Nil;
+      tag = 0;
+      dir = left;
     }
 
   let unregister h =
@@ -226,12 +264,16 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
      machinery carries it through Deferred (at enqueue) and Reclaimed
      (when the callback runs after its grace period). *)
   let new_shadow t node =
-    if San.enabled () then begin
-      let s = San.register t.san in
-      node.shadow <- Some s;
-      Some s
-    end
-    else None
+    match node with
+    | Node r when San.enabled () ->
+        let s = San.register t.san in
+        r.shadow <- Some s;
+        Some s
+    | Node _ | Nil -> None
+
+  let poison t id node =
+    (match node with Node r -> r.reclaimed <- true | Nil -> ());
+    Stats.incr t.reclaimed_nodes id
 
   (* Retire an unlinked node: one grace period later no reader can hold it,
      so it is safe to poison (standing in for free()). A reader that later
@@ -242,10 +284,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   let retire h node =
     let t = h.tree in
     let id = h.id in
-    let poison () =
-      node.reclaimed <- true;
-      Stats.incr t.reclaimed_nodes id
-    in
+    let poison () = poison t id node in
     match (t.reclaimer, h.bag) with
     | Some rc, Some bag when t.reclamation ->
         let shadow = new_shadow t node in
@@ -266,42 +305,39 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     Trace.record Restart h.id;
     t.hooks.on_restart ()
 
-  let child node dir = Atomic.get node.children.(dir)
-
-  (* Physical equality on optional nodes: the paper's prev.child[direction]
-     = curr comparison is on node identity. *)
-  let same_node a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> x == y
-    | None, Some _ | Some _, None -> false
-
   (* Sanitizer probes, one per lock discipline at the probing site:
-     [san_check] raises (traversals holding only the read lock, released
-     by Fun.protect on the way out), [san_note] records without raising
-     (the successor walk runs while delete holds node locks a raise would
-     leak), [san_observe] counts the touch only (post-lock validation,
-     where reaching a retired node is legal — validate is specified to
-     return false on it). All are no-ops unless the sanitizer is armed. *)
+     [san_check] raises (traversals holding only the read lock, which
+     [get]'s exception handler releases on the way out), [san_note]
+     records without raising (the successor walk runs while delete holds
+     node locks a raise would leak), [san_observe] counts the touch only
+     (post-lock validation, where reaching a retired node is legal —
+     validate is specified to return false on it). All are no-ops unless
+     the sanitizer is armed. *)
   let san_check h n =
-    match n.shadow with
-    | None -> ()
-    | Some s ->
+    match n with
+    | Node { shadow = Some s; _ } ->
         San.check ~slot:(R.reader_slot h.rt) ~cookie:(R.reader_cookie h.rt) s
+    | Node { shadow = None; _ } | Nil -> ()
 
   let san_note h n =
-    match n.shadow with
-    | None -> ()
-    | Some s ->
+    match n with
+    | Node { shadow = Some s; _ } ->
         San.note ~slot:(R.reader_slot h.rt) ~cookie:(R.reader_cookie h.rt) s
+    | Node { shadow = None; _ } | Nil -> ()
 
   let san_observe n =
-    match n.shadow with None -> () | Some s -> San.observe s
+    match n with
+    | Node { shadow = Some s; _ } -> San.observe s
+    | Node { shadow = None; _ } | Nil -> ()
 
-  (* get (paper lines 1-15): wait-free search from the root inside an RCU
-     read-side critical section. Returns (prev, tag, curr, direction) where
-     curr is the node holding [key] (or None), prev its parent, and tag the
-     snapshot of prev.tag[direction] taken inside the critical section.
+  (* get (paper lines 1-15): wait-free search inside an RCU read-side
+     critical section. Returns curr, the node holding [key] (or [Nil]),
+     and leaves in the handle its parent [h.prev], the direction [h.dir]
+     from the parent to it, and [h.tag], the snapshot of
+     prev.tag[direction] taken inside the critical section. The walk
+     starts below the sentinel, as if the paper's search had just gone
+     left from it; before the first insert there is no sentinel, and
+     [h.prev] is [Nil].
 
      The read lock is taken before the body so the handler can assume it
      is held; everything that can raise — client comparisons, sanitizer
@@ -312,7 +348,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
      read-side throughput. *)
   let get h key =
     let t = h.tree in
-    let skey = Key key in
     R.read_lock h.rt;
     match
       (* Arming state is snapshot once per critical section: the calls
@@ -322,94 +357,105 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
          unprobed — arming is a debug-time operation. *)
       let fault_on = Fault.enabled () in
       let san_on = San.enabled () in
-      let prev = ref t.root in
-      let curr = ref (child t.root right) in
-      (* root's right child is never None *)
-      let direction = ref right in
+      let prev = ref (Atomic.get t.sentinel) in
+      let curr =
+        ref (match !prev with Node s -> Atomic.get s.left | Nil -> Nil)
+      in
+      let direction = ref left in
       let continue = ref true in
       while !continue do
         match !curr with
-        | None -> continue := false
-        | Some c ->
+        | Nil -> continue := false
+        | Node c ->
             if fault_on then Fault.inject fault_read_step;
             (* Use-after-free detector: a reclaimed node must never be
                seen inside a read-side critical section (see [retire]). *)
             if c.reclaimed then Stats.incr t.use_after_reclaim h.id;
-            if san_on then san_check h c;
-            let cmp = compare_skey c.key skey in
+            if san_on then san_check h !curr;
+            let cmp = K.compare c.key key in
             if cmp = 0 then continue := false
             else begin
-              prev := c;
-              direction := Citrus_proto.dir_of_cmp cmp;
-              curr := child c !direction
+              prev := !curr;
+              let d = Citrus_proto.dir_of_cmp cmp in
+              direction := d;
+              curr := Atomic.get (if d = left then c.left else c.right)
             end
       done;
       (* Save the tag inside the read-side critical section (line 13);
          [prev] was vetted when traversed, but the tag dereference must
          not outlive its grace period either. *)
-      if san_on then san_check h !prev;
-      let tag = Atomic.get (!prev).tags.(!direction) in
-      (!prev, tag, !curr, !direction)
+      (match !prev with
+      | Node _ ->
+          if san_on then san_check h !prev;
+          h.tag <- Atomic.get (tag_slot !prev !direction)
+      | Nil -> ());
+      h.prev <- !prev;
+      h.dir <- !direction;
+      !curr
     with
-    | result ->
+    | curr ->
         R.read_unlock h.rt;
-        result
+        curr
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         R.read_unlock h.rt;
         Printexc.raise_with_backtrace e bt
 
   (* contains (lines 16-20). *)
-  let contains h key =
-    let _, _, curr, _ = get h key in
-    match curr with None -> None | Some c -> c.value
-
-  let mem h key = Option.is_some (contains h key)
+  let contains h key = match get h key with Node c -> c.value | Nil -> None
+  let mem h key = match get h key with Node _ -> true | Nil -> false
 
   (* validate (lines 33-38): purely local checks under the caller-held
-     locks. *)
+     locks. The paper's prev.child[direction] = curr is node identity. *)
   let validate prev tag curr direction =
-    Citrus_proto.validate ~prev_marked:prev.marked
-      ~child_same:(same_node (child prev direction) curr)
-      ~curr_marked:(match curr with Some c -> Some c.marked | None -> None)
+    Citrus_proto.validate ~prev_marked:(marked prev)
+      ~child_same:(child prev direction == curr)
+      ~curr_marked:(match curr with Node c -> Some c.marked | Nil -> None)
       ~tag
-      ~tag_now:(fun () -> Atomic.get prev.tags.(direction))
+      ~tag_now:(fun () -> Atomic.get (tag_slot prev direction))
 
   (* incrementTag (lines 39-41): bump the ABA tag when a child slot becomes
      empty. *)
   let increment_tag node direction =
-    if child node direction = None then
-      ignore (Atomic.fetch_and_add node.tags.(direction) 1)
+    if child node direction == Nil then
+      ignore (Atomic.fetch_and_add (tag_slot node direction) 1)
 
   (* insert (lines 21-32). *)
   let rec insert h key value =
     let t = h.tree in
-    let prev, tag, curr, direction = get h key in
-    match curr with
-    | Some _ -> false (* the key was found (line 25) *)
-    | None ->
-        t.hooks.between_get_and_lock ();
-        Spinlock.acquire_ordered prev.lock 0;
-        if San.enabled () then san_observe prev;
-        if validate prev tag None direction then begin
-          let node = new_node (Key key) (Some value) in
-          Atomic.set prev.children.(direction) (Some node);
-          (* Seeded bug (lockdep mutant): unlock the root's lock — which
-             this domain never took — instead of prev's. Armed lockdep
-             turns it into [Release_not_held] before the lock word is
-             touched; prev.lock is left held, wedging the tree, so the
-             hunt discards it. *)
-          Spinlock.release
-            (if Atomic.get unbalanced_unlock_bug then t.root.lock
-             else prev.lock);
-          Stats.incr t.inserts h.id;
-          true
-        end
-        else begin
-          Spinlock.release prev.lock;
-          note_restart t h;
-          insert h key value
-        end
+    match get h key with
+    | Node _ -> false (* the key was found (line 25) *)
+    | Nil -> (
+        let prev = h.prev and tag = h.tag and direction = h.dir in
+        match prev with
+        | Nil ->
+            (* First insert into the tree: install the sentinel, keyed by
+               this key (never compared), and search again below it. *)
+            ignore (Atomic.compare_and_set t.sentinel Nil (new_node key None));
+            insert h key value
+        | Node p ->
+            t.hooks.between_get_and_lock ();
+            Spinlock.acquire_ordered p.lock 0;
+            if San.enabled () then san_observe prev;
+            if validate prev tag Nil direction then begin
+              let node = new_node key (Some value) in
+              Atomic.set (slot prev direction) node;
+              (* Seeded bug (lockdep mutant): unlock the new node's lock —
+                 which this domain never took — instead of prev's. Armed
+                 lockdep turns it into [Release_not_held] before the lock
+                 word is touched; prev's lock is left held, wedging the
+                 tree, so the hunt discards it. *)
+              Spinlock.release
+                (if Atomic.get unbalanced_unlock_bug then lock node
+                 else p.lock);
+              Stats.incr t.inserts h.id;
+              true
+            end
+            else begin
+              Spinlock.release p.lock;
+              note_restart t h;
+              insert h key value
+            end)
 
   (* Successor search for the two-children case (lines 58-64): leftmost node
      of the right subtree of curr. The paper performs it outside any
@@ -425,13 +471,13 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
          and lets the locks be released normally. *)
       if San.enabled () then san_note h succ;
       match child succ left with
-      | None -> (prev_succ, succ)
-      | Some next -> down succ next
+      | Nil -> (prev_succ, succ)
+      | next -> down succ next
     in
     let walk () =
       match child curr right with
-      | None -> assert false (* caller checked curr has two children *)
-      | Some first -> down curr first
+      | Nil -> assert false (* caller checked curr has two children *)
+      | first -> down curr first
     in
     if not h.tree.reclamation then walk ()
     else begin
@@ -442,10 +488,10 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   (* delete (lines 42-84). *)
   let rec delete h key =
     let t = h.tree in
-    let prev, _, curr, direction = get h key in
-    match curr with
-    | None -> false (* the key was not found (line 46) *)
-    | Some curr ->
+    match get h key with
+    | Nil -> false (* the key was not found (line 46) *)
+    | curr ->
+        let prev = h.prev and direction = h.dir in
         t.hooks.between_get_and_lock ();
         if Atomic.get abba_delete_bug then begin
           (* Seeded bug (lockdep mutant): child before parent — against a
@@ -453,34 +499,32 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
              Armed lockdep raises [Order_inversion] at the second
              acquisition (held rank 1, acquiring rank 0), single-domain,
              before any deadlock has to materialize. *)
-          Spinlock.acquire_ordered curr.lock 1;
-          Spinlock.acquire_ordered prev.lock 0
+          Spinlock.acquire_ordered (lock curr) 1;
+          Spinlock.acquire_ordered (lock prev) 0
         end
         else begin
-          Spinlock.acquire_ordered prev.lock 0;
-          Spinlock.acquire_ordered curr.lock 1
+          Spinlock.acquire_ordered (lock prev) 0;
+          Spinlock.acquire_ordered (lock curr) 1
         end;
         if San.enabled () then begin
           san_observe prev;
           san_observe curr
         end;
-        if not (validate prev 0 (Some curr) direction) then begin
-          Spinlock.release curr.lock;
-          Spinlock.release prev.lock;
+        if not (validate prev 0 curr direction) then begin
+          Spinlock.release (lock curr);
+          Spinlock.release (lock prev);
           note_restart t h;
           delete h key
         end
-        else if child curr left = None || child curr right = None then begin
+        else if child curr left == Nil || child curr right == Nil then begin
           (* curr has at most one child: bypass it (lines 50-56,
              Figure 3(a)-(b)). *)
-          curr.marked <- true;
-          let not_none_child =
-            if child curr left <> None then left else right
-          in
-          Atomic.set prev.children.(direction) (child curr not_none_child);
+          mark curr;
+          let not_none_child = if child curr left != Nil then left else right in
+          Atomic.set (slot prev direction) (child curr not_none_child);
           increment_tag prev direction;
-          Spinlock.release curr.lock;
-          Spinlock.release prev.lock;
+          Spinlock.release (lock curr);
+          Spinlock.release (lock prev);
           retire h curr;
           Stats.incr t.deletes_one_child h.id;
           true
@@ -491,38 +535,26 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
           let prev_succ, succ = find_successor h curr in
           t.hooks.after_find_successor ();
           let succ_direction = if curr == prev_succ then right else left in
-          if curr != prev_succ then Spinlock.acquire_ordered prev_succ.lock 2;
-          Spinlock.acquire_ordered succ.lock 3;
+          if curr != prev_succ then
+            Spinlock.acquire_ordered (lock prev_succ) 2;
+          Spinlock.acquire_ordered (lock succ) 3;
           if San.enabled () then begin
             san_observe prev_succ;
             san_observe succ
           end;
-          let succ_left_tag = Atomic.get succ.tags.(left) in
+          let succ_left_tag = Atomic.get (tag_slot succ left) in
           if
-            validate prev_succ 0 (Some succ) succ_direction
-            && validate succ succ_left_tag None left
+            validate prev_succ 0 succ succ_direction
+            && validate succ succ_left_tag Nil left
           then begin
             (* A fresh node with succ's key/value and curr's children
                (line 70), locked before it becomes reachable (line 71). *)
-            let node =
-              {
-                key = succ.key;
-                value = succ.value;
-                children =
-                  [|
-                    Atomic.make (child curr left);
-                    Atomic.make (child curr right);
-                  |];
-                tags = [| Atomic.make 0; Atomic.make 0 |];
-                marked = false;
-                lock = Spinlock.create ~cls:node_cls ();
-                reclaimed = false;
-                shadow = None;
-              }
-            in
-            Spinlock.acquire_ordered node.lock 4;
-            curr.marked <- true;
-            Atomic.set prev.children.(direction) (Some node);
+            let node = copy succ in
+            Atomic.set (slot node left) (child curr left);
+            Atomic.set (slot node right) (child curr right);
+            Spinlock.acquire_ordered (lock node) 4;
+            mark curr;
+            Atomic.set (slot prev direction) node;
             t.hooks.before_synchronize ();
             if Fault.enabled () then Fault.inject fault_delete_window;
             (* The unlink below must wait for pre-existing readers: any
@@ -545,35 +577,35 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
                    to the held nodes spin as they would against a
                    blocked inline deleter; readers never take node
                    locks, so the grace period always elapses. *)
-                Spinlock.transfer node.lock;
-                Spinlock.transfer succ.lock;
-                if curr != prev_succ then Spinlock.transfer prev_succ.lock;
-                Spinlock.transfer curr.lock;
-                Spinlock.transfer prev.lock;
+                Spinlock.transfer (lock node);
+                Spinlock.transfer (lock succ);
+                if curr != prev_succ then Spinlock.transfer (lock prev_succ);
+                Spinlock.transfer (lock curr);
+                Spinlock.transfer (lock prev);
                 Rec.call_rcu rc bag (fun () ->
-                    succ.marked <- true;
+                    mark succ;
                     if prev_succ == curr then begin
                       (* succ is the right child of curr, which [node]
                          replaced. *)
-                      Atomic.set node.children.(right) (child succ right);
+                      Atomic.set (slot node right) (child succ right);
                       increment_tag node right
                     end
                     else begin
-                      Atomic.set prev_succ.children.(left) (child succ right);
+                      Atomic.set (slot prev_succ left) (child succ right);
                       increment_tag prev_succ left
                     end;
-                    Spinlock.adopt node.lock ~order:4;
-                    Spinlock.release node.lock;
-                    Spinlock.adopt succ.lock ~order:3;
-                    Spinlock.release succ.lock;
+                    Spinlock.adopt (lock node) ~order:4;
+                    Spinlock.release (lock node);
+                    Spinlock.adopt (lock succ) ~order:3;
+                    Spinlock.release (lock succ);
                     if curr != prev_succ then begin
-                      Spinlock.adopt prev_succ.lock ~order:2;
-                      Spinlock.release prev_succ.lock
+                      Spinlock.adopt (lock prev_succ) ~order:2;
+                      Spinlock.release (lock prev_succ)
                     end;
-                    Spinlock.adopt curr.lock ~order:1;
-                    Spinlock.release curr.lock;
-                    Spinlock.adopt prev.lock ~order:0;
-                    Spinlock.release prev.lock;
+                    Spinlock.adopt (lock curr) ~order:1;
+                    Spinlock.release (lock curr);
+                    Spinlock.adopt (lock prev) ~order:0;
+                    Spinlock.release (lock prev);
                     (* succ only became unreachable at the unlink above,
                        so its retirement cookie must postdate it. On the
                        reclaimer domain, re-enqueue into the
@@ -584,10 +616,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
                        after the fresh grace period. *)
                     if t.reclamation then begin
                       let shadow = new_shadow t succ in
-                      let poison () =
-                        succ.reclaimed <- true;
-                        Stats.incr t.reclaimed_nodes h.id
-                      in
+                      let poison () = poison t h.id succ in
                       if Rec.on_reclaimer_domain rc then
                         Rec.call_rcu rc self_bag ?shadow poison
                       else begin
@@ -625,39 +654,39 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
                     (fun () -> R.synchronize t.rcu)
                 end
                 else R.synchronize t.rcu;
-                succ.marked <- true;
+                mark succ;
                 if prev_succ == curr then begin
                   (* succ is the right child of curr, which [node]
                      replaced. *)
-                  Atomic.set node.children.(right) (child succ right);
+                  Atomic.set (slot node right) (child succ right);
                   increment_tag node right
                 end
                 else begin
-                  Atomic.set prev_succ.children.(left) (child succ right);
+                  Atomic.set (slot prev_succ left) (child succ right);
                   increment_tag prev_succ left
                 end;
-                Spinlock.release node.lock;
-                Spinlock.release succ.lock;
-                if curr != prev_succ then Spinlock.release prev_succ.lock;
-                Spinlock.release curr.lock;
-                Spinlock.release prev.lock;
+                Spinlock.release (lock node);
+                Spinlock.release (lock succ);
+                if curr != prev_succ then Spinlock.release (lock prev_succ);
+                Spinlock.release (lock curr);
+                Spinlock.release (lock prev);
                 retire h curr;
                 retire h succ);
             Stats.incr t.deletes_two_children h.id;
             true
           end
           else begin
-            Spinlock.release succ.lock;
-            if curr != prev_succ then Spinlock.release prev_succ.lock;
-            Spinlock.release curr.lock;
-            Spinlock.release prev.lock;
+            Spinlock.release (lock succ);
+            if curr != prev_succ then Spinlock.release (lock prev_succ);
+            Spinlock.release (lock curr);
+            Spinlock.release (lock prev);
             note_restart t h;
             delete h key
           end
         end
 
-  (* Note on [validate prev 0 (Some curr) direction]: when curr <> None the
-     tag branch of validate is unreachable, matching the paper's
+  (* Note on [validate prev 0 curr direction]: when curr is a node the tag
+     branch of validate is unreachable, matching the paper's
      validate(prev,-,curr,direction) "don't care" tag argument. *)
 
   (* --- Quiescent-state helpers --- *)
@@ -666,26 +695,23 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
 
   let fail fmt = Printf.ksprintf (fun s -> raise (Invariant_violation s)) fmt
 
-  let real_root t =
-    (* The Pos_inf sentinel; real keys live in its left subtree. *)
-    match child t.root right with
-    | None -> fail "root has no right sentinel child"
-    | Some inf -> inf
+  (* The subtree of real nodes: the sentinel's left child. *)
+  let real_nodes t =
+    match Atomic.get t.sentinel with Nil -> Nil | s -> child s left
 
   let fold_inorder f acc t =
     let rec go acc = function
-      | None -> acc
-      | Some n ->
-          let acc = go acc (child n left) in
+      | Nil -> acc
+      | Node n ->
+          let acc = go acc (Atomic.get n.left) in
           let acc =
-            match (n.key, n.value) with
-            | Key k, Some v -> f acc k v
-            | Key _, None -> fail "real node without value"
-            | (Neg_inf | Pos_inf), _ -> acc
+            match n.value with
+            | Some v -> f acc n.key v
+            | None -> fail "real node without value"
           in
-          go acc (child n right)
+          go acc (Atomic.get n.right)
     in
-    go acc (Some t.root)
+    go acc (real_nodes t)
 
   let size t = fold_inorder (fun n _ _ -> n + 1) 0 t
 
@@ -694,38 +720,39 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
 
   let height t =
     let rec go = function
-      | None -> 0
-      | Some n -> 1 + max (go (child n left)) (go (child n right))
+      | Nil -> 0
+      | Node n -> 1 + max (go (Atomic.get n.left)) (go (Atomic.get n.right))
     in
-    go (child (real_root t) left)
+    go (real_nodes t)
 
   let check_invariants t =
     let rec check lo hi = function
-      | None -> ()
-      | Some n ->
+      | Nil -> ()
+      | Node n ->
           if n.marked then fail "reachable node is marked";
           if n.reclaimed then fail "reachable node was reclaimed";
           if Spinlock.is_locked n.lock then fail "reachable node is locked";
           (match lo with
-          | Some lo when compare_skey n.key lo <= 0 ->
+          | Some lo when K.compare n.key lo <= 0 ->
               fail "BST order violated (lower bound)"
-          | _ -> ());
+          | Some _ | None -> ());
           (match hi with
-          | Some hi when compare_skey n.key hi >= 0 ->
+          | Some hi when K.compare n.key hi >= 0 ->
               fail "BST order violated (upper bound)"
-          | _ -> ());
-          if Atomic.get n.tags.(left) < 0 || Atomic.get n.tags.(right) < 0
-          then fail "negative tag";
-          check lo (Some n.key) (child n left);
-          check (Some n.key) hi (child n right)
+          | Some _ | None -> ());
+          if Atomic.get n.left_tag < 0 || Atomic.get n.right_tag < 0 then
+            fail "negative tag";
+          check lo (Some n.key) (Atomic.get n.left);
+          check (Some n.key) hi (Atomic.get n.right)
     in
-    let root = t.root in
-    if root.key <> Neg_inf then fail "root key is not Neg_inf";
-    if child root left <> None then fail "root has a left child";
-    let inf = real_root t in
-    if inf.key <> Pos_inf then fail "sentinel key is not Pos_inf";
-    if child inf right <> None then fail "Pos_inf sentinel has a right child";
-    check (Some Neg_inf) (Some Pos_inf) (child inf left)
+    match Atomic.get t.sentinel with
+    | Nil -> ()
+    | Node s ->
+        if Option.is_some s.value then fail "sentinel holds a value";
+        if s.marked then fail "sentinel is marked";
+        if Spinlock.is_locked s.lock then fail "sentinel is locked";
+        if Atomic.get s.right != Nil then fail "sentinel has a right child";
+        check None None (Atomic.get s.left)
 
   let stats t =
     Stats.dump t.group
@@ -783,38 +810,38 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   let try_rotate h p pdir n sink_dir =
     let t = h.tree in
     let rise_dir = 1 - sink_dir in
-    Spinlock.acquire_ordered p.lock 0;
-    Spinlock.acquire_ordered n.lock 1;
+    Spinlock.acquire_ordered (lock p) 0;
+    Spinlock.acquire_ordered (lock n) 1;
     let rising =
-      if (not p.marked) && (not n.marked) && same_node (child p pdir) (Some n)
-      then child n rise_dir
-      else None
+      if (not (marked p)) && (not (marked n)) && child p pdir == n then
+        child n rise_dir
+      else Nil
     in
     match rising with
-    | None ->
-        Spinlock.release n.lock;
-        Spinlock.release p.lock;
+    | Nil ->
+        Spinlock.release (lock n);
+        Spinlock.release (lock p);
         false
-    | Some c ->
-        Spinlock.acquire_ordered c.lock 2;
-        if c.marked then begin
-          Spinlock.release c.lock;
-          Spinlock.release n.lock;
-          Spinlock.release p.lock;
+    | c ->
+        Spinlock.acquire_ordered (lock c) 2;
+        if marked c then begin
+          Spinlock.release (lock c);
+          Spinlock.release (lock n);
+          Spinlock.release (lock p);
           false
         end
         else begin
           (* The copy that takes n's place below the rising child: it
              adopts c's sink-side subtree and n's own sink-side subtree. *)
-          let fresh = new_node n.key n.value in
-          Atomic.set fresh.children.(rise_dir) (child c sink_dir);
-          Atomic.set fresh.children.(sink_dir) (child n sink_dir);
-          n.marked <- true;
-          Atomic.set c.children.(sink_dir) (Some fresh);
-          Atomic.set p.children.(pdir) (Some c);
-          Spinlock.release c.lock;
-          Spinlock.release n.lock;
-          Spinlock.release p.lock;
+          let fresh = copy n in
+          Atomic.set (slot fresh rise_dir) (child c sink_dir);
+          Atomic.set (slot fresh sink_dir) (child n sink_dir);
+          mark n;
+          Atomic.set (slot c sink_dir) fresh;
+          Atomic.set (slot p pdir) c;
+          Spinlock.release (lock c);
+          Spinlock.release (lock n);
+          Spinlock.release (lock p);
           retire h n;
           Stats.incr t.rotations h.id;
           true
@@ -842,8 +869,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
        refines them. *)
     let rec walk p pdir =
       match child p pdir with
-      | None -> (0, 0, 0)
-      | Some n ->
+      | Nil -> (0, 0, 0)
+      | n ->
           let hl, hll, hlr = walk n left in
           let hr, hrl, hrr = walk n right in
           let stale = (1 + max hl hr, hl, hr) in
@@ -851,8 +878,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
             if hlr > hll then begin
               (* Zig-zag: raise the left child's right child first. *)
               (match child n left with
-              | Some l when try_rotate h n left l left -> incr rotations
-              | Some _ | None -> ());
+              | Nil -> ()
+              | l -> if try_rotate h n left l left then incr rotations);
               stale
             end
             else if try_rotate h p pdir n right then begin
@@ -865,8 +892,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
           else if hr > hl + 1 then begin
             if hrl > hrr then begin
               (match child n right with
-              | Some r when try_rotate h n right r right -> incr rotations
-              | Some _ | None -> ());
+              | Nil -> ()
+              | r -> if try_rotate h n right r right then incr rotations);
               stale
             end
             else if try_rotate h p pdir n left then begin
@@ -878,8 +905,9 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
           end
           else stale
     in
-    let inf = real_root t in
-    ignore (walk inf left);
+    (match Atomic.get t.sentinel with
+    | Nil -> ()
+    | s -> ignore (walk s left));
     !rotations
 
   let balance ?(max_passes = 64) h =

@@ -42,8 +42,8 @@ module Buggy : sig
       read-side critical section ([Sync_in_read_section]). *)
 
   val unbalanced_unlock : bool -> unit
-  (** [insert]'s success path unlocks the root's lock — never taken by
-      the caller — instead of prev's ([Release_not_held]). *)
+  (** [insert]'s success path unlocks the new node's lock — never taken
+      by the caller — instead of prev's ([Release_not_held]). *)
 end
 
 module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) : sig

@@ -629,6 +629,42 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
     checkb "reclamation actually ran" true (List.assoc "reclaimed" s > 0);
     T.check_invariants t
 
+  (* The wait-free search allocates nothing: [get] leaves its side results
+     in the handle, a child slot holds the next node itself, and the value
+     is stored as the option [contains] returns. An insert of a present
+     key and a delete of an absent one end after that same search. The
+     counter's own float boxing is cancelled by timing an empty loop the
+     same way. *)
+  let test_reads_allocate_nothing () =
+    Repro_sanitizer.Sanitizer.disarm ();
+    Repro_fault.Fault.disable_all ();
+    Repro_sync.Metrics.set_enabled false;
+    Repro_sync.Trace.stop ();
+    with_tree @@ fun t h ->
+    for i = 0 to 1023 do
+      ignore (T.insert h (((i * 389) land 1023) * 2) i)
+    done;
+    let n = 10_000 in
+    let words f =
+      let before = Gc.minor_words () in
+      for i = 1 to n do
+        f ((i * 7) land 2047)
+      done;
+      Gc.minor_words () -. before
+    in
+    let empty = words ignore in
+    let check name f =
+      Alcotest.(check (float 0.)) (name ^ ": words over 10k calls") 0.
+        (words f -. empty)
+    in
+    check "contains" (fun k -> ignore (Sys.opaque_identity (T.contains h k)));
+    check "mem" (fun k -> ignore (Sys.opaque_identity (T.mem h k)));
+    check "insert present" (fun k ->
+        ignore (Sys.opaque_identity (T.insert h (k land lnot 1) 0)));
+    check "delete absent" (fun k ->
+        ignore (Sys.opaque_identity (T.delete h (k lor 1))));
+    checki "size unchanged" 1024 (T.size t)
+
   let test_reclamation_off_by_default () =
     let t = T.create () in
     let h = T.register t in
@@ -688,6 +724,8 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
           test_reclamation_no_use_after_free;
         Alcotest.test_case "reclamation off by default" `Quick
           test_reclamation_off_by_default;
+        Alcotest.test_case "reads allocate nothing" `Quick
+          test_reads_allocate_nothing;
       ] )
 end
 
