@@ -462,7 +462,7 @@ let chaos name shards clients queue_depth drain_batch rate duration keys
    every RCU flavour unless one is named; non-zero torture errors exit 1,
    usage errors (unknown flavour / fault point, bad spec) exit 2. *)
 let torture flavour seed fault_specs stall_ms stall_mode readers writers
-    updates use_defer use_poll use_call_rcu park_ms sanitize lockdep quick
+    updates use_poll use_call_rcu park_ms sanitize lockdep quick
     verbose =
   let faults =
     List.map
@@ -501,7 +501,6 @@ let torture flavour seed fault_specs stall_ms stall_mode readers writers
       readers;
       writers;
       updates_per_writer = updates;
-      use_defer;
       use_poll;
       use_call_rcu;
       reader_park_ms = park_ms;
@@ -1197,7 +1196,7 @@ let torture_cmd =
           ~doc:
             "Arm a fault point (repeatable), e.g. \
              $(b,urcu.sync.pre_flip=0.3) or \
-             $(b,defer.flush=0.5:yield=512). See ROBUSTNESS.md for the \
+             $(b,epoch.advance=0.5:yield=512). See ROBUSTNESS.md for the \
              catalogue.")
   in
   let stall_ms =
@@ -1226,14 +1225,6 @@ let torture_cmd =
   let updates =
     Arg.(value & opt int 300 & info [ "updates" ] ~doc:"Updates per writer.")
   in
-  let use_defer =
-    Arg.(
-      value & flag
-      & info [ "defer" ]
-          ~doc:
-            "Writers free through the deferred-reclamation queue (exercises \
-             $(b,defer.flush)).")
-  in
   let use_poll =
     Arg.(
       value & flag
@@ -1251,8 +1242,7 @@ let torture_cmd =
           ~doc:
             "Writers hand frees to a background reclaimer domain \
              (epoch-tagged bags, $(b,Reclaimer)) and never wait for a \
-             grace period themselves; overrides $(b,--defer) and \
-             $(b,--poll).")
+             grace period themselves; overrides $(b,--poll).")
   in
   let park_ms =
     Arg.(
@@ -1298,7 +1288,7 @@ let torture_cmd =
           reclamation sanitizer (see ROBUSTNESS.md).")
     Term.(
       const torture $ flavour $ seed $ faults $ stall_ms $ stall_mode
-      $ readers $ writers $ updates $ use_defer $ use_poll $ use_call_rcu
+      $ readers $ writers $ updates $ use_poll $ use_call_rcu
       $ park_ms $ sanitize $ lockdep $ quick $ verbose)
 
 let mutants_cmd =

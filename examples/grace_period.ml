@@ -4,7 +4,8 @@
      dune exec examples/grace_period.exe
 
    A writer repeatedly swaps a shared configuration record and retires the
-   old one through Defer (the call_rcu analogue built on synchronize_rcu).
+   old one through call_rcu: a background reclaimer invalidates it once a
+   grace period has elapsed, and the writer never waits.
    Readers dereference the configuration inside read-side critical
    sections. The invariant demonstrated: a retired configuration is never
    invalidated while any reader that might still hold it is inside its
@@ -18,7 +19,7 @@ module Barrier = Repro_sync.Barrier
 type config = { version : int; mutable valid : bool }
 
 module Demo (R : Repro_rcu.Rcu.S) = struct
-  module Defer = Repro_rcu.Defer.Make (R)
+  module Rec = Repro_rcu.Reclaimer.Make (R)
 
   let run () =
     let rcu = R.create () in
@@ -48,25 +49,30 @@ module Demo (R : Repro_rcu.Rcu.S) = struct
               done;
               R.unregister th))
     in
-    let defer = Defer.create ~batch:16 rcu in
+    let reclaimer = Rec.create rcu in
+    let bag = Rec.new_producer reclaimer in
+    let retired = Atomic.make 0 in
     Barrier.wait start;
     for v = 1 to swaps do
       let fresh = { version = v; valid = true } in
       let old = Atomic.exchange current fresh in
       (* Retire [old]: invalidation runs only after a grace period. *)
-      Defer.defer defer (fun () -> old.valid <- false)
+      Rec.call_rcu reclaimer bag (fun () ->
+          old.valid <- false;
+          Atomic.incr retired)
     done;
-    Defer.flush defer;
+    (* Every retired configuration is invalidated before [stop] returns. *)
+    Rec.stop reclaimer;
     Atomic.set stop true;
     List.iter Domain.join reader_domains;
     Printf.printf
       "%-10s swaps=%d retired=%d grace_periods=%d stale_reads=%d \
        use-after-retire=%d\n"
-      R.name swaps (Defer.executed defer) (R.grace_periods rcu)
+      R.name swaps (Atomic.get retired) (R.grace_periods rcu)
       (Atomic.get stale_reads)
       (Atomic.get invalid_observed);
     assert (Atomic.get invalid_observed = 0);
-    assert (Defer.executed defer = swaps)
+    assert (Atomic.get retired = swaps)
 end
 
 module Epoch_demo = Demo (Repro_rcu.Epoch_rcu)

@@ -54,7 +54,6 @@ let left = Citrus_proto.left
 let right = Citrus_proto.right
 
 module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
-  module Defer = Repro_rcu.Defer.Make (R)
   module Rec = Repro_rcu.Reclaimer.Make (R)
 
   (* One *ordered* lockdep class for every node lock of every tree built
@@ -81,10 +80,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         key : K.t; (* never changes (Section 2) *)
         left : 'v node Atomic.t;
         right : 'v node Atomic.t;
-        mutable reclaimed : bool;
-            (* Set by deferred reclamation one grace period after the node
-               is unlinked; a reader observing it has found a
-               use-after-free. *)
         value : 'v option; (* None only in the sentinel; never changes *)
         left_tag : int Atomic.t;
         right_tag : int Atomic.t;
@@ -114,18 +109,11 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
            never compared. The paper's -1 root above it is dropped: its
            only child is the sentinel, so no update ever locked it. *)
     rcu : R.t;
-    reclamation : bool;
-    reclaimer : Rec.t option;
-        (* Some iff the tree was created under the call_rcu discipline:
-           two-child deletes hand their grace-period-then-unlink
-           continuation to this background domain instead of blocking
-           inline, and [retire] (with [reclamation]) routes through its
-           bags instead of [Defer]. *)
-    self_bag : Rec.producer option;
-        (* Retired bag owned by the reclaimer domain itself: unlink
-           continuations running there retire the unlinked successor
-           into it (a fresh post-unlink cookie) instead of blocking the
-           reclaimer on a second grace period. *)
+    reclamation : bool; (* [retire] frees through [reclaimer] *)
+    call_rcu : bool;
+        (* Two-child deletes hand their grace-period-then-unlink
+           continuation to [reclaimer] instead of blocking inline. *)
+    reclaimer : Rec.t option; (* Some iff [reclamation] or [call_rcu] *)
     san : San.domain;
     hooks : hooks;
     group : Stats.group;
@@ -134,7 +122,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     deletes_one_child : Stats.t;
     deletes_two_children : Stats.t;
     reclaimed_nodes : Stats.t;
-    use_after_reclaim : Stats.t;
     rotations : Stats.t;
     handle_ids : int Atomic.t;
   }
@@ -143,9 +130,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     tree : 'v t;
     rt : R.thread;
     id : int;
-    defer : Defer.t option;
-        (* Some iff the tree has reclamation on and no reclaimer (the
-           inline-synchronize configuration) *)
     bag : Rec.producer option; (* Some iff the tree has a reclaimer *)
     mutable prev : 'v node;
     mutable tag : int;
@@ -163,7 +147,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         key;
         left = Atomic.make Nil;
         right = Atomic.make Nil;
-        reclaimed = false;
         value;
         left_tag = Atomic.make 0;
         right_tag = Atomic.make 0;
@@ -200,8 +183,9 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     let rcu = R.create ?max_threads () in
     (* The reclaimer is per tree instance (one background domain per
        [R.t]); [shutdown] stops and joins it. *)
-    let reclaimer = if call_rcu then Some (Rec.create rcu) else None in
-    let self_bag = Option.map Rec.new_producer reclaimer in
+    let reclaimer =
+      if reclamation || call_rcu then Some (Rec.create rcu) else None
+    in
     let group = Stats.group () in
     (* Bind counters outside the record literal: field evaluation order is
        unspecified, and the group dumps in creation order. *)
@@ -210,14 +194,13 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     let deletes_one_child = Stats.counter group "deletes_one_child" in
     let deletes_two_children = Stats.counter group "deletes_two_children" in
     let reclaimed_nodes = Stats.counter group "reclaimed" in
-    let use_after_reclaim = Stats.counter group "use_after_reclaim" in
     let rotations = Stats.counter group "rotations" in
     {
       sentinel = Atomic.make Nil;
       rcu;
       reclamation;
+      call_rcu;
       reclaimer;
-      self_bag;
       san = San.create ("citrus/" ^ R.name);
       hooks =
         {
@@ -232,7 +215,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       deletes_one_child;
       deletes_two_children;
       reclaimed_nodes;
-      use_after_reclaim;
       rotations;
       handle_ids = Atomic.make 0;
     }
@@ -242,27 +224,19 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       tree;
       rt = R.register tree.rcu;
       id = Atomic.fetch_and_add tree.handle_ids 1;
-      defer =
-        (if tree.reclamation && Option.is_none tree.reclaimer then
-           Some (Defer.create tree.rcu)
-         else None);
       bag = Option.map Rec.new_producer tree.reclaimer;
       prev = Nil;
       tag = 0;
       dir = left;
     }
 
-  let unregister h =
-    (* [drain], not [flush]: reclamation callbacks may retire further
-       nodes, and a queue shorter than the batch must not leak when the
-       thread leaves. *)
-    (match h.defer with Some d -> Defer.drain d | None -> ());
-    R.unregister h.rt
+  (* A handle's bag outlives it: the reclaimer frees what it retired. *)
+  let unregister h = R.unregister h.rt
 
   (* Armed sanitizer: give the node a shadow record now, so every
-     traversal that touches it from here on is checked. The deferral
-     machinery carries it through Deferred (at enqueue) and Reclaimed
-     (when the callback runs after its grace period). *)
+     traversal that touches it from here on is checked. The reclaimer
+     carries it through Deferred (at enqueue) and Reclaimed (when the
+     callback runs after its grace period). *)
   let new_shadow t node =
     match node with
     | Node r when San.enabled () ->
@@ -271,30 +245,19 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         Some s
     | Node _ | Nil -> None
 
-  let poison t id node =
-    (match node with Node r -> r.reclaimed <- true | Nil -> ());
-    Stats.incr t.reclaimed_nodes id
-
-  (* Retire an unlinked node: one grace period later no reader can hold it,
-     so it is safe to poison (standing in for free()). A reader that later
-     observes the poison has found a use-after-free — the detection scheme
-     behind the reclamation tests. With a reclaimer the poison is handed to
-     [call_rcu] (background free); otherwise to the handle's [Defer] queue
-     (the retiring thread pays the grace period at flush). *)
+  (* Retire an unlinked node: the reclaimer frees it one grace period
+     later, when no reader can hold it. Under the GC the free is the
+     [reclaimed] count (standing in for free()) plus, armed, the shadow's
+     Reclaimed transition — a reader touching the node after that is the
+     use-after-free the sanitizer reports. *)
   let retire h node =
     let t = h.tree in
-    let id = h.id in
-    let poison () = poison t id node in
     match (t.reclaimer, h.bag) with
     | Some rc, Some bag when t.reclamation ->
-        let shadow = new_shadow t node in
-        Rec.call_rcu rc bag ?shadow poison
-    | _ -> (
-        match h.defer with
-        | None -> ()
-        | Some d ->
-            let shadow = new_shadow t node in
-            Defer.defer d ?shadow poison)
+        let id = h.id in
+        Rec.call_rcu rc bag ?shadow:(new_shadow t node) (fun () ->
+            Stats.incr t.reclaimed_nodes id)
+    | _ -> ()
 
   (* Restarts are double-booked: in the tree's own stats group (per-tree
      diagnostics) and in the process-global metrics/trace (workload-level
@@ -368,9 +331,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         | Nil -> continue := false
         | Node c ->
             if fault_on then Fault.inject fault_read_step;
-            (* Use-after-free detector: a reclaimed node must never be
-               seen inside a read-side critical section (see [retire]). *)
-            if c.reclaimed then Stats.incr t.use_after_reclaim h.id;
             if san_on then san_check h !curr;
             let cmp = K.compare c.key key in
             if cmp = 0 then continue := false
@@ -485,6 +445,35 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       Fun.protect ~finally:(fun () -> R.read_unlock h.rt) walk
     end
 
+  (* Release [n]'s lock. A continuation handed off to the reclaimer
+     ([adopt]) first adopts it at the rank it was taken with, so lockdep
+     sees the release on the domain that performs it. *)
+  let release_ranked ~adopt n rank =
+    if adopt then Spinlock.adopt (lock n) ~order:rank;
+    Spinlock.release (lock n)
+
+  (* The tail of a two-child delete, once its grace period has elapsed
+     (lines 75-83): unlink the old successor, release the locks bottom-up,
+     and retire the successor — its cookie is taken after the unlink, as
+     it must be. *)
+  let unlink ~adopt h ~prev ~curr ~prev_succ ~succ ~node () =
+    mark succ;
+    if prev_succ == curr then begin
+      (* succ is the right child of curr, which [node] replaced. *)
+      Atomic.set (slot node right) (child succ right);
+      increment_tag node right
+    end
+    else begin
+      Atomic.set (slot prev_succ left) (child succ right);
+      increment_tag prev_succ left
+    end;
+    release_ranked ~adopt node 4;
+    release_ranked ~adopt succ 3;
+    if curr != prev_succ then release_ranked ~adopt prev_succ 2;
+    release_ranked ~adopt curr 1;
+    release_ranked ~adopt prev 0;
+    retire h succ
+
   (* delete (lines 42-84). *)
   let rec delete h key =
     let t = h.tree in
@@ -557,13 +546,13 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
             Atomic.set (slot prev direction) node;
             t.hooks.before_synchronize ();
             if Fault.enabled () then Fault.inject fault_delete_window;
-            (* The unlink below must wait for pre-existing readers: any
-               search that could still find the successor only in its old
+            (* The unlink must wait for pre-existing readers: any search
+               that could still find the successor only in its old
                position completes first (line 74). Two ways to pay for
                that wait: *)
-            (match (t.reclaimer, h.bag, t.self_bag) with
-            | Some rc, Some bag, Some self_bag
-              when not (Atomic.get sync_in_read_bug) ->
+            (match (t.reclaimer, h.bag) with
+            | Some rc, Some bag
+              when t.call_rcu && not (Atomic.get sync_in_read_bug) ->
                 (* call_rcu: hand the grace-period-then-unlink
                    continuation to the background reclaimer and return
                    now — the updater never blocks. The window state is
@@ -582,58 +571,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
                 if curr != prev_succ then Spinlock.transfer (lock prev_succ);
                 Spinlock.transfer (lock curr);
                 Spinlock.transfer (lock prev);
-                Rec.call_rcu rc bag (fun () ->
-                    mark succ;
-                    if prev_succ == curr then begin
-                      (* succ is the right child of curr, which [node]
-                         replaced. *)
-                      Atomic.set (slot node right) (child succ right);
-                      increment_tag node right
-                    end
-                    else begin
-                      Atomic.set (slot prev_succ left) (child succ right);
-                      increment_tag prev_succ left
-                    end;
-                    Spinlock.adopt (lock node) ~order:4;
-                    Spinlock.release (lock node);
-                    Spinlock.adopt (lock succ) ~order:3;
-                    Spinlock.release (lock succ);
-                    if curr != prev_succ then begin
-                      Spinlock.adopt (lock prev_succ) ~order:2;
-                      Spinlock.release (lock prev_succ)
-                    end;
-                    Spinlock.adopt (lock curr) ~order:1;
-                    Spinlock.release (lock curr);
-                    Spinlock.adopt (lock prev) ~order:0;
-                    Spinlock.release (lock prev);
-                    (* succ only became unreachable at the unlink above,
-                       so its retirement cookie must postdate it. On the
-                       reclaimer domain, re-enqueue into the
-                       reclaimer-owned bag (single-producer discipline);
-                       on a fallback path (bag full, reclaimer dead or
-                       stopping — this closure then ran on the retiring
-                       updater or the stopping thread), free inline
-                       after the fresh grace period. *)
-                    if t.reclamation then begin
-                      let shadow = new_shadow t succ in
-                      let poison () = poison t h.id succ in
-                      if Rec.on_reclaimer_domain rc then
-                        Rec.call_rcu rc self_bag ?shadow poison
-                      else begin
-                        (match shadow with
-                        | Some s -> San.on_defer s ~gp:(R.gp_cookie t.rcu)
-                        | None -> ());
-                        R.cond_synchronize t.rcu (R.read_gp_seq t.rcu);
-                        (match shadow with
-                        | Some s -> San.on_reclaim ~gp:(R.gp_cookie t.rcu) s
-                        | None -> ());
-                        poison ()
-                      end
-                    end);
-                (* curr became unreachable at the copy's publication, so
-                   its cookie (taken inside [retire], i.e. now) already
-                   covers every reader that could hold it. *)
-                retire h curr
+                Rec.call_rcu rc bag
+                  (unlink ~adopt:true h ~prev ~curr ~prev_succ ~succ ~node)
             | _ ->
                 (* Inline: the paper's synchronous form. With many
                    updaters deleting concurrently these calls coalesce
@@ -654,24 +593,11 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
                     (fun () -> R.synchronize t.rcu)
                 end
                 else R.synchronize t.rcu;
-                mark succ;
-                if prev_succ == curr then begin
-                  (* succ is the right child of curr, which [node]
-                     replaced. *)
-                  Atomic.set (slot node right) (child succ right);
-                  increment_tag node right
-                end
-                else begin
-                  Atomic.set (slot prev_succ left) (child succ right);
-                  increment_tag prev_succ left
-                end;
-                Spinlock.release (lock node);
-                Spinlock.release (lock succ);
-                if curr != prev_succ then Spinlock.release (lock prev_succ);
-                Spinlock.release (lock curr);
-                Spinlock.release (lock prev);
-                retire h curr;
-                retire h succ);
+                unlink ~adopt:false h ~prev ~curr ~prev_succ ~succ ~node ());
+            (* curr became unreachable at the copy's publication, so its
+               cookie (taken inside [retire], i.e. now) already covers
+               every reader that could hold it. *)
+            retire h curr;
             Stats.incr t.deletes_two_children h.id;
             true
           end
@@ -730,7 +656,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       | Nil -> ()
       | Node n ->
           if n.marked then fail "reachable node is marked";
-          if n.reclaimed then fail "reachable node was reclaimed";
+          (* [retire] is the only place a node gets a shadow. *)
+          if Option.is_some n.shadow then fail "reachable node was retired";
           if Spinlock.is_locked n.lock then fail "reachable node is locked";
           (match lo with
           | Some lo when K.compare n.key lo <= 0 ->

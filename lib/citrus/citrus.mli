@@ -60,30 +60,31 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) : sig
 
       [reclamation] (default false) enables the paper's "future work"
       integration of RCU-based memory reclamation: every node removed by a
-      delete is {e retired} through a per-handle deferred queue and
-      poisoned one grace period after it becomes unreachable — the moment a
-      C implementation would [free] it. Searches check the poison flag, so
-      the ["use_after_reclaim"] statistic counts would-be use-after-free
-      accesses (it must stay 0; the test-suite asserts this under stress).
+      delete or a rotation is {e retired} through the handle's bag in a
+      background reclaimer ([Repro_rcu.Reclaimer]) and freed one grace
+      period after it becomes unreachable — the moment a C implementation
+      would [free] it; the ["reclaimed"] statistic counts those frees.
       With reclamation on, the successor walk of a two-child delete runs
       inside a read-side critical section — the paper omits this because it
-      never frees memory during runs.
+      never frees memory during runs. The two-child delete itself still
+      waits for its grace period inline, as in the paper.
 
-      When the reclamation sanitizer ([Repro_sanitizer.Sanitizer]) is
-      armed, retired nodes additionally carry shadow records and every
-      traversal step checks them: a search that touches a node after its
-      grace-period-protected reclamation raises [Sanitizer.Violation] out
-      of [contains]/[mem] (read sections unwind cleanly; node-lock-holding
-      paths record the violation without raising). See ROBUSTNESS.md.
+      Use-after-free is detected by the reclamation sanitizer
+      ([Repro_sanitizer.Sanitizer]): while it is armed, retired nodes
+      carry shadow records and every traversal step checks them, so a
+      search that touches a node after its reclamation raises
+      [Sanitizer.Violation] out of [contains]/[mem] (read sections unwind
+      cleanly; node-lock-holding paths record the violation without
+      raising). See ROBUSTNESS.md.
 
-      [call_rcu] (default {!Repro_rcu.Reclaimer.call_rcu_enabled}) spawns
-      a background reclaimer domain for this tree and takes the
-      grace-period wait off the updater hot path: a two-child [delete]
-      returns as soon as the successor copy is published, handing the
-      wait-then-unlink continuation (with the node locks still held, so
-      the protocol other threads observe is unchanged) to the reclaimer;
-      [retire]d nodes likewise go to an epoch-tagged bag instead of a
-      blocking deferred queue. A tree created with [call_rcu:true] owns a
+      [call_rcu] (default {!Repro_rcu.Reclaimer.call_rcu_enabled}) takes
+      the grace-period wait off the updater hot path: a two-child
+      [delete] returns as soon as the successor copy is published,
+      handing the wait-then-unlink continuation (with the node locks
+      still held, so the protocol other threads observe is unchanged) to
+      the reclaimer.
+
+      A tree created with [reclamation] or [call_rcu] owns one reclaimer
       domain and must be {!shutdown}. *)
 
   val register : 'v t -> 'v handle
@@ -104,17 +105,17 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) : sig
 
   val shutdown : 'v t -> unit
   (** Stop and join the tree's background reclaimer domain (no-op without
-      one): every pending call_rcu continuation — unlinks and frees —
-      runs before this returns. Call it once all operations are done,
-      and {e before} any quiescent-state helper below: while an async
-      delete is in flight the tree legitimately holds a locked reachable
-      copy and a duplicate key, which {!check_invariants} would report.
-      Idempotent. *)
+      one): every pending continuation — unlinks and frees — runs before
+      this returns. Call it once all operations are done, and {e before}
+      any quiescent-state helper below: while an async delete is in
+      flight the tree legitimately holds a locked reachable copy and a
+      duplicate key, which {!check_invariants} would report, and retired
+      nodes may still await their free. Idempotent. *)
 
   (** {2 Quiescent-state helpers}
 
       The following must only be called while no other operation is in
-      flight and, on a [call_rcu] tree, after {!shutdown} (tests,
+      flight and, on a tree with a reclaimer, after {!shutdown} (tests,
       reporting). *)
 
   val size : 'v t -> int
@@ -128,18 +129,19 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) : sig
 
   val check_invariants : 'v t -> unit
   (** Verify in a quiescent state: strict BST order with sentinel bounds, no
-      reachable marked node, no duplicate keys, all node locks free.
-      @raise Invariant_violation otherwise. *)
+      reachable marked node, no duplicate keys, all node locks free, and
+      no reachable node that was retired (one carrying a sanitizer
+      shadow). @raise Invariant_violation otherwise. *)
 
   val stats : 'v t -> (string * int) list
-  (** Operation counters: restarts, two-child deletes, one-child deletes,
-      inserts, reclaimed nodes, use-after-reclaim detections (must be 0),
-      maintenance rotations, and grace periods. A [call_rcu] tree adds
-      its reclaimer's counters (reclaim_batches, reclaimer_crashes,
-      reclaim_backpressure, reclaim_pending). *)
+  (** Operation counters: restarts, inserts, one-child deletes,
+      two-child deletes, reclaimed (freed) nodes, maintenance rotations,
+      and grace periods. A tree with a reclaimer adds its counters
+      (reclaim_batches, reclaimer_crashes, reclaim_backpressure,
+      reclaim_pending). *)
 
   val reclaim_pressure : 'v t -> float
-  (** Backlog pressure of the tree's call_rcu reclaimer
+  (** Backlog pressure of the tree's reclaimer
       ([Repro_rcu.Reclaimer.Make.pressure]): 0.0 without a reclaimer or
       when idle, 1.0 when the fullest retired bag reaches its watermark.
       Racy snapshot, safe to poll concurrently — the serving layer's

@@ -6,8 +6,8 @@
 
 (* The wrapped flavour answers every grace-period question with "already
    elapsed": [synchronize] returns immediately and [poll] is always true,
-   so [Defer] elides every wait and retired nodes are reclaimed while
-   pre-existing readers can still reach them — the exact bug class the
+   so the reclaimer frees every retired node at once, while pre-existing
+   readers can still reach it — the exact bug class the
    two-child delete's [synchronize] (paper, Section 4) exists to prevent.
    Read-side tracking is inherited unchanged, which matters: the readers
    are innocent, and the sanitizer report must blame the reclaimer. *)

@@ -268,7 +268,8 @@ let lockdep_round (module T : TREE) ~reclamation =
   (* Read-side nesting is always unwound by the time a violation
      propagates here (Fun.protect in the update paths), so unregistering
      is safe even after a catch. *)
-  T.unregister h
+  T.unregister h;
+  T.shutdown t
 
 (* Arm lockdep around one clean-slate round with [set_bug] switched on,
    restoring both; the count is a delta off a freshly reset validator. *)
@@ -308,9 +309,9 @@ let lockdep_all () =
   [ lockdep_abba (); lockdep_sync_in_read (); lockdep_unbalanced_unlock () ]
 
 (* Clean lockdep-armed rounds over all three flavours, with reclamation
-   on so the successor walk's read section, the deferred queues and the
-   drain-time grace periods are all validated too: the full locking
-   protocol must be silent. *)
+   on so the successor walk's read section and the reclaimer's grace
+   periods are validated too: the full locking protocol must be
+   silent. *)
 let lockdep_controls () =
   let flavoured name (module T : TREE) =
     Lockdep.reset ();

@@ -244,7 +244,6 @@ let catalogue =
     "urcu.read.enter";
     "qsbr.wait";
     "epoch.advance";
-    "defer.flush";
     "lock.spin.acquire";
     "lock.ticket.acquire";
     "citrus.delete.window";

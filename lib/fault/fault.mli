@@ -62,7 +62,7 @@ val inject : t -> unit
 
 val fires : t -> bool
 (** The coin alone, for call sites that implement the fault themselves
-    (e.g. [Defer.flush]'s extra grace period). Counts a hit, and a fire
+    (e.g. a test drawing the stream directly). Counts a hit, and a fire
     when true. *)
 
 val set : ?action:action -> string -> rate:float -> unit

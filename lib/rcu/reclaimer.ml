@@ -1,21 +1,18 @@
 (* call_rcu for the user-space flavours: per-producer, epoch-tagged
    retired bags drained by one background reclaimer domain per RCU
-   instance.
+   instance — the only deferred-free path in the repository.
 
-   [Defer] (PR 3) batches retirements but still charges a grace period to
-   the *retiring* thread at every flush — the Citrus two-child delete,
-   and therefore every serving-layer updater behind it, blocks inline.
-   This module moves the wait off the hot path entirely, the
-   rcu_free/call_rcu discipline of the kernel and of oscarlab/versioning
-   (SNIPPETS.md §3): [call_rcu] appends the callback plus its
-   [read_gp_seq] cookie into the calling domain's bag — two atomic
-   stores, no synchronization — and the reclaimer domain polls
-   [poll]/[cond_synchronize] against each cookie and frees in batches.
+   The rcu_free/call_rcu discipline of the kernel and of
+   oscarlab/versioning (SNIPPETS.md §3): [call_rcu] appends the callback
+   plus its [read_gp_seq] cookie into the calling domain's bag — two
+   atomic writes, no synchronization — and the reclaimer domain waits on
+   each cookie in turn ([poll]/[cond_synchronize]) and frees in batches.
+   Updaters never pay the grace period of what they retire.
 
    Bounded memory: each bag holds at most [watermark] entries; a producer
    that finds its bag full spins briefly (counted — the backpressure
    signal) and then frees inline, so unbounded retirement degrades to the
-   old synchronous behaviour instead of OOMing.
+   synchronous behaviour instead of OOMing.
 
    Crash tolerance, shard-updater style (lib/server/shard_router.ml): the
    reclaimer runs under an internal supervisor loop; a crash (injected
@@ -32,7 +29,7 @@ module Trace = Repro_sync.Trace
 module Backoff = Repro_sync.Backoff
 module San = Repro_sanitizer.Sanitizer
 
-(* Process-global mode switch and tuning defaults, the [Gp.set_coalescing]
+(* Process-global mode switch and tuning default, the [Gp.set_coalescing]
    idiom: one flag consulted at structure-creation time lets the same
    binary A/B inline-synchronize against call_rcu deletes (bench `reclaim`,
    `citrus_tool --call-rcu`) without threading a parameter through every
@@ -43,21 +40,7 @@ let call_rcu_flag = Atomic.make false
 let set_call_rcu b = Atomic.set call_rcu_flag b
 let call_rcu_enabled () = Atomic.get call_rcu_flag
 
-(* Environment arming, mirroring REPRO_SANITIZE / REPRO_LOCKDEP: any
-   binary can route reclamation through call_rcu without code changes. *)
-let () =
-  match Sys.getenv_opt "REPRO_CALL_RCU" with
-  | Some ("1" | "true" | "yes" | "on") -> set_call_rcu true
-  | Some _ | None -> ()
-
-let default_batch = Atomic.make 64
 let default_watermark = Atomic.make 1024
-
-let set_batch n =
-  if n <= 0 then invalid_arg "Reclaimer.set_batch: batch must be positive";
-  Atomic.set default_batch n
-
-let batch () = Atomic.get default_batch
 
 let set_watermark n =
   if n <= 0 then
@@ -149,16 +132,21 @@ module Make (R : Rcu_intf.S) = struct
     pending_at : int Atomic.t;
     domain_id : int Atomic.t; (* reclaimer domain's id, -1 until spawned *)
     mutable domain : unit Domain.t option;
+    own : producer;
+        (* The bag the reclaimer domain itself produces into: a callback
+           that retires more work (a handed-off unlink retiring the node
+           it unlinked) enqueues here, so every bag keeps one producer. *)
   }
 
+  let bag capacity =
+    {
+      ring = Array.init capacity (fun _ -> Atomic.make None);
+      head = Atomic.make 0;
+      tail = Atomic.make 0;
+    }
+
   let new_producer t =
-    let p =
-      {
-        ring = Array.init t.capacity (fun _ -> Atomic.make None);
-        head = Atomic.make 0;
-        tail = Atomic.make 0;
-      }
-    in
+    let p = bag t.capacity in
     let rec add () =
       let ps = Atomic.get t.producers in
       if not (Atomic.compare_and_set t.producers ps (p :: ps)) then add ()
@@ -319,19 +307,19 @@ module Make (R : Rcu_intf.S) = struct
     in
     go ()
 
-  let create ?batch:b ?watermark:w ?(max_restarts = 8) rcu =
-    let batch = match b with Some b -> b | None -> batch () in
+  let create ?(batch = 64) ?watermark:w ?(max_restarts = 8) rcu =
     let capacity = match w with Some w -> w | None -> watermark () in
     if batch <= 0 then invalid_arg "Reclaimer.create: batch must be positive";
     if capacity <= 0 then
       invalid_arg "Reclaimer.create: watermark must be positive";
+    let own = bag capacity in
     let t =
       {
         rcu;
         batch;
         capacity;
         max_restarts;
-        producers = Atomic.make [];
+        producers = Atomic.make [ own ];
         stop = Atomic.make false;
         dead = Atomic.make false;
         batches = Atomic.make 0;
@@ -342,6 +330,7 @@ module Make (R : Rcu_intf.S) = struct
         pending_at = Atomic.make 0;
         domain_id = Atomic.make (-1);
         domain = None;
+        own;
       }
     in
     t.domain <- Some (Domain.spawn (supervise t));
@@ -351,11 +340,16 @@ module Make (R : Rcu_intf.S) = struct
     timed_synchronize t it.cookie;
     it.run ()
 
-  (* [shadow] threading mirrors [Defer.defer]: Deferred at enqueue (so a
-     double-retire is rejected with the bag untouched), Reclaimed when the
-     callback finally runs after its grace period — on whichever domain
-     frees it. *)
+  (* [shadow] goes Deferred at enqueue (so a double-retire is rejected
+     with the bag untouched) and Reclaimed when the callback finally runs
+     after its grace period — on whichever domain frees it. An enqueue
+     made by a callback running on the reclaimer domain goes to the
+     reclaimer's own bag, not the caller's: that bag belongs to another
+     domain. *)
   let call_rcu t p ?shadow f =
+    let p =
+      if (Domain.self () :> int) = Atomic.get t.domain_id then t.own else p
+    in
     let f =
       match shadow with
       | None -> f
@@ -420,9 +414,6 @@ module Make (R : Rcu_intf.S) = struct
       in
       List.iter sweep (Atomic.get t.producers)
     end
-
-  let on_reclaimer_domain t =
-    (Domain.self () :> int) = Atomic.get t.domain_id
 
   let stopped t = Atomic.get t.stop
   let batches t = Atomic.get t.batches

@@ -1,13 +1,13 @@
-(** call_rcu: background reclamation over epoch-tagged retired bags.
+(** call_rcu: background reclamation over epoch-tagged retired bags —
+    the repository's one deferred-free path.
 
-    Generalizes {!Defer} from "batch, then the retiring thread pays the
-    grace period" to the kernel's [call_rcu] discipline: {!call_rcu}
-    appends a callback plus its [read_gp_seq] cookie into the calling
-    domain's bag — no synchronization on the hot path beyond two atomic
-    stores — and a dedicated background reclaimer domain (one per RCU
-    instance, created by {!Make.create}) drains the bags by polling
-    [poll]/[cond_synchronize] against each cookie and freeing in batches.
-    Updaters therefore never wait for a grace period; see DESIGN.md,
+    The kernel's [call_rcu] discipline: {!Make.call_rcu} appends a
+    callback plus its [read_gp_seq] cookie into the calling domain's bag —
+    no synchronization on the hot path beyond two atomic writes — and a
+    dedicated background reclaimer domain (one per RCU instance, created
+    by {!Make.create}) drains the bags, waiting on each cookie in turn
+    ([poll]/[cond_synchronize]) and freeing in batches. Updaters therefore
+    never wait for the grace period of what they retire; see DESIGN.md,
     "call_rcu and retired bags".
 
     Memory is bounded by a per-bag high watermark: a producer that finds
@@ -30,21 +30,11 @@
     against call_rcu deletes. Off by default. *)
 
 val set_call_rcu : bool -> unit
-(** Globally select the call_rcu delete/retire path for structures
-    created after the call. Flip only between runs, never while trees
-    built under the other setting are still live. Also armed by the
-    environment ([REPRO_CALL_RCU=1]), mirroring [REPRO_SANITIZE] /
-    [REPRO_LOCKDEP]: any binary can route reclamation through a
-    reclaimer domain without code changes. *)
+(** Globally select the call_rcu delete path for structures created
+    after the call. Flip only between runs, never while trees built under
+    the other setting are still live. *)
 
 val call_rcu_enabled : unit -> bool
-
-val set_batch : int -> unit
-(** Default reclaim batch size (callbacks freed per pass) for reclaimers
-    created without an explicit [?batch]. Raises [Invalid_argument] if
-    not positive. *)
-
-val batch : unit -> int
 
 val set_watermark : int -> unit
 (** Default per-bag capacity (retired pointers a producer may have in
@@ -86,11 +76,11 @@ module Make (R : Rcu_intf.S) : sig
       domains. *)
 
   val create : ?batch:int -> ?watermark:int -> ?max_restarts:int -> R.t -> t
-  (** Spawn the reclaimer domain. [batch] and [watermark] default to the
-      process-global {!val-batch}/{!val-watermark}; [max_restarts]
-      (default 8) bounds crash-restarts before the reclaimer declares
-      itself dead and producers fall back to inline frees. The caller
-      owns the domain and must {!stop} it. *)
+  (** Spawn the reclaimer domain. [batch] (callbacks freed per pass)
+      defaults to 64 and [watermark] to the process-global
+      {!val-watermark}; [max_restarts] (default 8) bounds crash-restarts
+      before the reclaimer declares itself dead and producers fall back
+      to inline frees. The caller owns the domain and must {!stop} it. *)
 
   val new_producer : t -> producer
   (** Register a retired bag with the reclaimer. Bags are never removed;
@@ -104,10 +94,17 @@ module Make (R : Rcu_intf.S) : sig
       domain — or on the calling domain when the bag is full past the
       bounded backpressure wait, the reclaimer is dead, or [t] is
       stopping (in each case after the grace period, never before).
-      [shadow] is carried through the sanitizer lifecycle exactly as in
-      [Defer.defer]: Deferred here, Reclaimed when [f] runs. Must be
-      called outside any read-side critical section (the inline fallback
-      may synchronize). *)
+      Called from a callback running on the reclaimer domain, [f] goes to
+      a bag the reclaimer owns instead of [p], so follow-up work a
+      callback retires still runs by the time {!stop} returns.
+
+      [shadow], when given, is the object's reclamation-sanitizer record:
+      it is marked [Deferred] here — rejecting a second retirement of the
+      same object with [Sanitizer.Violation] (kind [Double_free]) before
+      the bag is touched — and [Reclaimed] when [f] runs. Callers pass it
+      only while the sanitizer is armed. Must be called outside any
+      read-side critical section (the inline fallback may
+      synchronize). *)
 
   val stop : t -> unit
   (** Drain every bag (freeing after each item's grace period), join the
@@ -147,13 +144,6 @@ module Make (R : Rcu_intf.S) : sig
 
   val alive : t -> bool
   (** The background domain is accepting work (not dead, not stopped). *)
-
-  val on_reclaimer_domain : t -> bool
-  (** True when called from [t]'s own reclaimer domain — lets a callback
-      distinguish running in the background (where it may enqueue
-      follow-up work into a reclaimer-owned bag) from running inline on
-      a producer via a fallback path (where it must not touch that
-      bag: single-producer discipline). *)
 
   val stopped : t -> bool
 end

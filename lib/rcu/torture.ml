@@ -36,7 +36,6 @@ type config = {
   updates_per_writer : int;
   nest : bool;
   reader_delay : bool;
-  use_defer : bool;
   use_poll : bool;
   use_call_rcu : bool;
   reader_park_ms : int;
@@ -56,7 +55,6 @@ let default =
     updates_per_writer = 300;
     nest = false;
     reader_delay = false;
-    use_defer = false;
     use_poll = false;
     use_call_rcu = false;
     reader_park_ms = 0;
@@ -88,7 +86,6 @@ type elem = { id : int; mutable freed : bool; shadow : San.record option }
 let fault_reader_hold = Fault.register "torture.reader.hold"
 
 module Make (R : Rcu_intf.S) = struct
-  module Defer = Defer.Make (R)
   module Rec = Reclaimer.Make (R)
 
   let body cfg ~seed ~stall_count ~san =
@@ -195,7 +192,6 @@ module Make (R : Rcu_intf.S) = struct
     let writer i =
       Domain.spawn (fun () ->
           let th = R.register r in
-          let defer = if cfg.use_defer then Some (Defer.create r) else None in
           let bag = Option.map Rec.new_producer reclaimer in
           let rng = Rng.create (Int64.of_int (seed + 9_000 + i)) in
           Barrier.wait start;
@@ -233,15 +229,7 @@ module Make (R : Rcu_intf.S) = struct
                       as they do the inline grace periods. *)
                    Rec.call_rcu rc b ?shadow:old.shadow (fun () ->
                        old.freed <- true)
-               | _ -> (
-               match defer with
-               | Some d ->
-                   (* Defer owns the shadow lifecycle: Deferred at enqueue
-                      (rejecting double-enqueues), Reclaimed when the
-                      callback runs after its grace period. *)
-                   Defer.defer d ?shadow:old.shadow (fun () ->
-                       old.freed <- true)
-               | None when cfg.use_poll ->
+               | _ when cfg.use_poll ->
                    (* Cookie taken after unpublishing, then a dawdle: with
                       several writers, another writer's grace period often
                       elapses past the cookie meanwhile, so this hammers
@@ -255,14 +243,13 @@ module Make (R : Rcu_intf.S) = struct
                    R.cond_synchronize r gp;
                    old.freed <- true;
                    mark_reclaimed old
-               | None ->
+               | _ ->
                    mark_deferred old;
                    R.synchronize r;
                    old.freed <- true;
-                   mark_reclaimed old));
+                   mark_reclaimed old);
                incr u
-             done;
-             match defer with Some d -> Defer.drain d | None -> ()
+             done
            with
           | Stall.Stalled _ ->
               (* Fail-mode watchdog: the aborted synchronize gives no
@@ -294,10 +281,10 @@ module Make (R : Rcu_intf.S) = struct
       stalls = Atomic.get stall_count;
       stalled_writers = Atomic.get stalled_writers;
       violations = Atomic.get violations;
-      (* Shadow records still Deferred after every writer drained its
-         queue are frees that were promised and never ran. With a
-         violation the run stopped early and pending deferrals are
-         expected, so only a clean run is audited. *)
+      (* Shadow records still Deferred after every writer finished and
+         the reclaimer stopped are frees that were promised and never
+         ran. With a violation the run stopped early and pending
+         deferrals are expected, so only a clean run is audited. *)
       leaks =
         (match san with
         | Some d when Atomic.get violations = 0 -> List.length (San.audit d)

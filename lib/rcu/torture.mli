@@ -25,7 +25,6 @@ type config = {
   updates_per_writer : int;
   nest : bool;  (** readers use nested read-side sections *)
   reader_delay : bool;  (** readers dawdle inside the critical section *)
-  use_defer : bool;  (** writers free through [Defer] instead of inline *)
   use_poll : bool;
       (** writers take a grace-period cookie ([read_gp_seq]) after
           unpublishing, dawdle, then free through [cond_synchronize] —
@@ -34,8 +33,7 @@ type config = {
   use_call_rcu : bool;
       (** writers hand frees to a background {!Reclaimer} domain
           (epoch-tagged bags, one per writer) instead of waiting for any
-          grace period themselves; takes precedence over [use_defer] and
-          [use_poll]. The reclaimer is stopped (all frees forced) before
+          grace period themselves; takes precedence over [use_poll]. The reclaimer is stopped (all frees forced) before
           the leak audit. *)
   reader_park_ms : int;
       (** if > 0, reader 0 parks this long inside one critical section at
@@ -74,8 +72,8 @@ type outcome = {
           flavour; the mutation suite requires > 0 on the seeded-buggy
           ones. *)
   leaks : int;
-      (** shadow records still [Deferred] after every writer drained —
-          frees promised but never executed. Audited only on violation-free
+      (** shadow records still [Deferred] after every writer finished
+          and the reclaimer stopped — frees promised but never executed. Audited only on violation-free
           [sanitize] runs; must be 0. *)
   lockdep_violations : int;
       (** lockdep violations observed during the run ([lockdep] runs

@@ -12,7 +12,7 @@
 
     {v Live --on_defer--> Deferred gp --on_reclaim--> Reclaimed (gp, gp') v}
 
-    [on_defer] corresponds to [free] being scheduled (e.g. [Defer.defer])
+    [on_defer] corresponds to [free] being scheduled ([Reclaimer.call_rcu])
     and records the grace-period cookie ([read_gp_seq]) current at enqueue;
     [on_reclaim] corresponds to the free actually running after its grace
     period. Instrumented read paths call {!check} on the shadow of every
@@ -143,8 +143,8 @@ val reset_violations : unit -> unit
 (** {2 Teardown audit} *)
 
 val audit : domain -> report list
-(** Records still [Deferred] — frees promised but never executed (e.g.
-    [Defer.drain] missed a queue). One [Leaked_deferral] report per
+(** Records still [Deferred] — frees promised but never executed (e.g. a
+    reclaimer that was never stopped). One [Leaked_deferral] report per
     record, ordered by id. Pure: auditing does not count violations;
     harnesses decide whether leaks fail the run. *)
 

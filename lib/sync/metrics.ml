@@ -1,6 +1,6 @@
 (* Process-global observability registry. The counters live here, at the
    bottom of the dependency stack, so the instrumented subsystems
-   (spinlocks, RCU flavours, Citrus, deferred reclamation) can record into
+   (spinlocks, RCU flavours, Citrus, the call_rcu reclaimer) can record into
    them without any plumbing — and so one snapshot sees every subsystem at
    once, which is what the benchmark JSON report needs.
 
@@ -24,13 +24,10 @@ let rcu_read_sections = Stats.create "rcu_read_sections"
 let rcu_stalls = Stats.create "rcu_stalls"
 let grace_period_ns = Stats.Timer.create "grace_period_ns"
 let sync_coalesced = Stats.create "sync_coalesced"
-let defer_gp_elided = Stats.create "defer_gp_elided"
 let lock_acquires = Stats.create "lock_acquires"
 let lock_contended = Stats.create "lock_contended"
 let lock_wait_ns = Stats.Timer.create "lock_wait_ns"
 let restarts = Stats.create "restarts"
-let defer_flushes = Stats.create "defer_flushes"
-let defer_callbacks = Stats.create "defer_callbacks"
 let call_rcu_enqueued = Stats.create "call_rcu_enqueued"
 let reclaim_batches = Stats.create "reclaim_batches"
 
@@ -67,13 +64,10 @@ let reset () =
   Stats.reset rcu_stalls;
   Stats.Timer.reset grace_period_ns;
   Stats.reset sync_coalesced;
-  Stats.reset defer_gp_elided;
   Stats.reset lock_acquires;
   Stats.reset lock_contended;
   Stats.Timer.reset lock_wait_ns;
   Stats.reset restarts;
-  Stats.reset defer_flushes;
-  Stats.reset defer_callbacks;
   Stats.reset call_rcu_enqueued;
   Stats.reset reclaim_batches;
   Stats.Timer.reset reclaim_backlog;
@@ -106,15 +100,12 @@ let snapshot () =
       float_of_int (Stats.Timer.total_ns grace_period_ns) );
     ("grace_period_max_ns", float_of_int (Stats.Timer.max_ns grace_period_ns));
     ("sync_coalesced", float_of_int (Stats.read sync_coalesced));
-    ("defer_gp_elided", float_of_int (Stats.read defer_gp_elided));
     ("lock_acquires", float_of_int (Stats.read lock_acquires));
     ("lock_contended", float_of_int (Stats.read lock_contended));
     ("lock_wait_mean_ns", Stats.Timer.mean_ns lock_wait_ns);
     ("lock_wait_total_ns", float_of_int (Stats.Timer.total_ns lock_wait_ns));
     ("lock_wait_max_ns", float_of_int (Stats.Timer.max_ns lock_wait_ns));
     ("restarts", float_of_int (Stats.read restarts));
-    ("defer_flushes", float_of_int (Stats.read defer_flushes));
-    ("defer_callbacks", float_of_int (Stats.read defer_callbacks));
     ("call_rcu_enqueued", float_of_int (Stats.read call_rcu_enqueued));
     ("reclaim_batches", float_of_int (Stats.read reclaim_batches));
     ("reclaim_backlog_mean", Stats.Timer.mean_ns reclaim_backlog);

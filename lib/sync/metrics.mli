@@ -3,8 +3,8 @@
     One registry of striped counters and duration timers, shared by every
     subsystem that serializes work: the RCU flavours record read sections
     and grace-period durations, the locks record acquisitions / contention /
-    wait times, Citrus records traversal restarts, deferred reclamation
-    records flushes. Living at the bottom of the dependency stack, the
+    wait times, Citrus records traversal restarts, the call_rcu reclaimer
+    records enqueues, batches and backlog. Living at the bottom of the dependency stack, the
     registry needs no plumbing and one {!snapshot} captures every
     subsystem at once — the substrate of the benchmark JSON reports.
 
@@ -48,11 +48,6 @@ val sync_coalesced : Stats.t
     (all RCU flavours). [sync_coalesced / grace_periods] is the fraction
     of grace-period waits the coalescing machinery elided. *)
 
-val defer_gp_elided : Stats.t
-(** Deferred-reclamation flushes that skipped their grace-period wait
-    entirely because the sequence recorded at enqueue time had already
-    been overtaken ([Defer.flush] via [poll]/[cond_synchronize]). *)
-
 val lock_acquires : Stats.t
 (** Successful lock acquisitions (spinlock + ticket lock). *)
 
@@ -64,12 +59,6 @@ val lock_wait_ns : Stats.Timer.t
 
 val restarts : Stats.t
 (** Optimistic traversals restarted after failed validation (Citrus). *)
-
-val defer_flushes : Stats.t
-(** Deferred-free batches executed (each pays one grace period). *)
-
-val defer_callbacks : Stats.t
-(** Individual deferred callbacks run. *)
 
 val call_rcu_enqueued : Stats.t
 (** Retired pointers handed to a background reclaimer domain

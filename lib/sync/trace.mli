@@ -27,7 +27,6 @@ type kind =
           distinguish tree-node locks from the GP lock *)
   | Lock_contended  (** lock acquired after spinning; arg = wait (ns) *)
   | Restart  (** optimistic traversal restarted after failed validation *)
-  | Defer_flush  (** deferred-free batch executed; arg = callbacks run *)
   | Stall
       (** grace-period stall report emitted (see [Repro_rcu.Stall]);
           arg = blocking reader slot index *)

@@ -6,9 +6,18 @@
 module IntMap = Map.Make (Int)
 module Barrier = Repro_sync.Barrier
 module Rng = Repro_sync.Rng
+module San = Repro_sanitizer.Sanitizer
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
+
+(* Run [f] with the reclamation sanitizer armed; the violations it adds. *)
+let sanitized f =
+  let was = San.enabled () in
+  San.arm ();
+  let before = San.violations () in
+  Fun.protect ~finally:(fun () -> if not was then San.disarm ()) f;
+  San.violations () - before
 
 module Behaviour (R : Repro_rcu.Rcu.S) = struct
   module T = Repro_citrus.Citrus.Make (Repro_citrus.Citrus_int.Ord_int) (R)
@@ -456,33 +465,34 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
     T.Hooks.before_synchronize t chaos;
     let n_domains = 4 in
     let bar = Barrier.create n_domains in
-    let workers =
-      List.init n_domains (fun i ->
-          Domain.spawn (fun () ->
-              let h = T.register t in
-              let rng = Rng.create (Int64.of_int (8_800 + i)) in
-              Barrier.wait bar;
-              for _ = 1 to 3_000 do
-                let k = Rng.int rng 32 in
-                match Rng.int rng 3 with
-                | 0 -> ignore (T.insert h k k)
-                | 1 -> ignore (T.delete h k)
-                | _ -> (
-                    match T.contains h k with
-                    | Some v when v <> k -> Alcotest.failf "torn value"
-                    | Some _ | None -> ())
-              done;
-              T.unregister h))
+    let worker i () =
+      let h = T.register t in
+      let rng = Rng.create (Int64.of_int (8_800 + i)) in
+      Barrier.wait bar;
+      for _ = 1 to 3_000 do
+        let k = Rng.int rng 32 in
+        match Rng.int rng 3 with
+        | 0 -> ignore (T.insert h k k)
+        | 1 -> ignore (T.delete h k)
+        | _ -> (
+            match T.contains h k with
+            | Some v when v <> k -> Alcotest.failf "torn value"
+            | Some _ | None -> ())
+      done;
+      T.unregister h
     in
-    List.iter Domain.join workers;
+    let violations =
+      sanitized (fun () ->
+          List.init n_domains (fun i -> Domain.spawn (worker i))
+          |> List.iter Domain.join;
+          T.shutdown t)
+    in
     T.Hooks.between_get_and_lock t ignore;
     T.Hooks.after_find_successor t ignore;
     T.Hooks.before_synchronize t ignore;
     T.check_invariants t;
-    let s = T.stats t in
-    checki "no use-after-reclaim under chaos" 0
-      (List.assoc "use_after_reclaim" s);
-    checkb "restarts exercised" true (List.assoc "restarts" s >= 0)
+    checki "no use-after-reclaim under chaos" 0 violations;
+    checkb "restarts exercised" true (List.assoc "restarts" (T.stats t) >= 0)
 
   (* --- maintenance rebalancing (future work #1) --- *)
 
@@ -564,16 +574,20 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
 
   let test_balance_with_reclamation () =
     let t = T.create ~reclamation:true () in
-    let h = T.register t in
-    for k = 1 to 512 do
-      ignore (T.insert h k k)
-    done;
-    ignore (T.balance h);
-    T.unregister h (* flush deferred retirements *);
+    let violations =
+      sanitized (fun () ->
+          let h = T.register t in
+          for k = 1 to 512 do
+            ignore (T.insert h k k)
+          done;
+          ignore (T.balance h);
+          T.unregister h;
+          T.shutdown t (* runs every pending free *))
+    in
     let s = T.stats t in
     checkb "rotations retired their nodes" true
       (List.assoc "reclaimed" s >= List.assoc "rotations" s);
-    checki "no use-after-reclaim" 0 (List.assoc "use_after_reclaim" s);
+    checki "no use-after-reclaim" 0 violations;
     T.check_invariants t;
     checki "all keys intact" 512 (T.size t)
 
@@ -581,14 +595,19 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
 
   let test_reclamation_counts () =
     let t = T.create ~reclamation:true () in
-    let h = T.register t in
-    for k = 1 to 100 do
-      ignore (T.insert h k k)
-    done;
-    for k = 1 to 100 do
-      ignore (T.delete h k)
-    done;
-    T.unregister h (* flushes the deferred queue *);
+    let violations =
+      sanitized (fun () ->
+          let h = T.register t in
+          for k = 1 to 100 do
+            ignore (T.insert h k k)
+          done;
+          for k = 1 to 100 do
+            ignore (T.delete h k)
+          done;
+          T.unregister h;
+          T.shutdown t (* runs every pending free *))
+    in
+    checki "no use-after-reclaim" 0 violations;
     let s = T.stats t in
     (* A one-child delete retires one node; a two-child delete retires the
        replaced node and the old successor. *)
@@ -597,7 +616,6 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
       + (2 * List.assoc "deletes_two_children" s)
     in
     checki "all unlinked nodes reclaimed" expected (List.assoc "reclaimed" s);
-    checki "no use-after-reclaim" 0 (List.assoc "use_after_reclaim" s);
     T.check_invariants t
 
   (* The central safety property: under heavy concurrent churn with
@@ -621,12 +639,15 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
       done;
       T.unregister h
     in
-    let domains = List.init n_domains (fun i -> Domain.spawn (worker i)) in
-    List.iter Domain.join domains;
-    let s = T.stats t in
-    checki "no use-after-reclaim under churn" 0
-      (List.assoc "use_after_reclaim" s);
-    checkb "reclamation actually ran" true (List.assoc "reclaimed" s > 0);
+    let violations =
+      sanitized (fun () ->
+          List.init n_domains (fun i -> Domain.spawn (worker i))
+          |> List.iter Domain.join;
+          T.shutdown t)
+    in
+    checki "no use-after-reclaim under churn" 0 violations;
+    checkb "reclamation actually ran" true
+      (List.assoc "reclaimed" (T.stats t) > 0);
     T.check_invariants t
 
   (* The wait-free search allocates nothing: [get] leaves its side results

@@ -4,13 +4,12 @@
    arrival), invisible when disarmed, and strict about unknown names. The
    stall watchdog must name the blocking reader slot, emit one report per
    threshold window in warn mode, raise [Rcu.Stalled] in fail mode, and
-   stay silent on healthy runs — for all three RCU flavours. Draining a
-   deferral queue at teardown must run every callback, including callbacks
-   enqueued by callbacks. *)
+   stay silent on healthy runs — for all three RCU flavours. *)
 
 module Fault = Repro_fault.Fault
 module Stall = Repro_rcu.Rcu.Stall
 module Torture = Repro_rcu.Torture
+module San = Repro_sanitizer.Sanitizer
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -89,7 +88,6 @@ let test_unknown_point () =
           "urcu.sync.pre_flip";
           "qsbr.wait";
           "epoch.advance";
-          "defer.flush";
           "lock.spin.acquire";
           "lock.ticket.acquire";
           "citrus.delete.window";
@@ -102,7 +100,7 @@ let test_parse_spec () =
     | Error e -> Alcotest.fail (spec ^ ": " ^ e)
   in
   ok "urcu.sync.pre_flip=0.3" ("urcu.sync.pre_flip", 0.3, None);
-  ok "defer.flush=0.5:yield=512" ("defer.flush", 0.5, Some (Fault.Yield 512));
+  ok "epoch.advance=0.5:yield=512" ("epoch.advance", 0.5, Some (Fault.Yield 512));
   ok "p=1:delay_ns=1000" ("p", 1.0, Some (Fault.Delay_ns 1000));
   List.iter
     (fun bad ->
@@ -119,29 +117,6 @@ let test_disabled_is_invisible () =
       (* inject on a disarmed point is a no-op, not a crash *)
       Fault.inject p;
       checkb "disarmed point never fires" false (Fault.fires p))
-
-(* ------------------------------------------------------------------ *)
-(* Defer.drain *)
-
-let test_drain () =
-  let module R = Repro_rcu.Epoch_rcu in
-  let module Defer = Repro_rcu.Defer.Make (R) in
-  let r = R.create () in
-  let d = Defer.create ~batch:32 r in
-  let ran = ref 0 in
-  (* A callback that enqueues another callback: one flush is not enough,
-     drain must iterate to a fixed point. *)
-  Defer.defer d (fun () ->
-      incr ran;
-      Defer.defer d (fun () -> incr ran));
-  for _ = 1 to 3 do
-    Defer.defer d (fun () -> incr ran)
-  done;
-  checkb "queue below batch" true (Defer.pending d < 32);
-  Defer.drain d;
-  checki "nothing pending after drain" 0 (Defer.pending d);
-  checki "every callback ran, including chained" 5 !ran;
-  checki "executed counter agrees" 5 (Defer.executed d)
 
 (* ------------------------------------------------------------------ *)
 (* Stall watchdog, per flavour *)
@@ -276,7 +251,16 @@ let test_torture_fail () =
 
 (* ------------------------------------------------------------------ *)
 (* Citrus under faults: stretched delete windows and lock delays must
-   not break the tree or let a reader touch reclaimed memory. *)
+   not break the tree or let a reader touch reclaimed memory — the armed
+   sanitizer reports any such touch. *)
+
+(* Run [f] with the reclamation sanitizer armed; the violations it adds. *)
+let sanitized f =
+  let was = San.enabled () in
+  San.arm ();
+  let before = San.violations () in
+  Fun.protect ~finally:(fun () -> if not was then San.disarm ()) f;
+  San.violations () - before
 
 let test_citrus_faults () =
   isolated (fun () ->
@@ -284,24 +268,26 @@ let test_citrus_faults () =
       Fault.configure ~seed:17L
         [ ("citrus.delete.window", 0.5); ("lock.spin.acquire", 0.05) ];
       let t = C.create ~reclamation:true () in
-      let workers =
-        List.init 3 (fun i ->
-            Domain.spawn (fun () ->
-                let h = C.register t in
-                let rng = Repro_sync.Rng.create (Int64.of_int (40 + i)) in
-                for _ = 1 to 400 do
-                  let k = Repro_sync.Rng.int rng 32 in
-                  match Repro_sync.Rng.int rng 3 with
-                  | 0 -> ignore (C.insert h k k)
-                  | 1 -> ignore (C.delete h k)
-                  | _ -> ignore (C.contains h k)
-                done;
-                C.unregister h))
+      let worker i () =
+        let h = C.register t in
+        let rng = Repro_sync.Rng.create (Int64.of_int (40 + i)) in
+        for _ = 1 to 400 do
+          let k = Repro_sync.Rng.int rng 32 in
+          match Repro_sync.Rng.int rng 3 with
+          | 0 -> ignore (C.insert h k k)
+          | 1 -> ignore (C.delete h k)
+          | _ -> ignore (C.contains h k)
+        done;
+        C.unregister h
       in
-      List.iter Domain.join workers;
+      let violations =
+        sanitized (fun () ->
+            List.init 3 (fun i -> Domain.spawn (worker i))
+            |> List.iter Domain.join;
+            C.shutdown t)
+      in
       C.check_invariants t;
-      checki "no use-after-reclaim under faults" 0
-        (List.assoc "use_after_reclaim" (C.stats t)))
+      checki "no use-after-reclaim under faults" 0 violations)
 
 let () =
   Alcotest.run "fault"
@@ -317,8 +303,6 @@ let () =
           Alcotest.test_case "disabled is invisible" `Quick
             test_disabled_is_invisible;
         ] );
-      ( "defer",
-        [ Alcotest.test_case "drain runs chained callbacks" `Quick test_drain ] );
       Stall_epoch.suite "epoch-rcu";
       Stall_urcu.suite "urcu";
       Stall_qsbr.suite "qsbr";

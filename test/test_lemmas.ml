@@ -10,9 +10,18 @@
 module T = Repro_citrus.Citrus_int.Epoch
 module Rng = Repro_sync.Rng
 module Barrier = Repro_sync.Barrier
+module San = Repro_sanitizer.Sanitizer
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
+
+(* Run [f] with the reclamation sanitizer armed; the violations it adds. *)
+let sanitized f =
+  let was = San.enabled () in
+  San.arm ();
+  let before = San.violations () in
+  Fun.protect ~finally:(fun () -> if not was then San.disarm ()) f;
+  San.violations () - before
 
 (* --- Lemma 4 / Figure 7: an insert whose search ended at the old
    successor of a concurrent two-children delete must fail validation
@@ -346,11 +355,13 @@ let test_reclamation_linearizable () =
           done;
           T.unregister h)
     in
-    let domains = List.init threads worker in
-    List.iter Domain.join domains;
+    let violations =
+      sanitized (fun () ->
+          List.init threads worker |> List.iter Domain.join;
+          T.shutdown t)
+    in
     C.check_exn (H.events hist);
-    checki "no use-after-reclaim" 0
-      (List.assoc "use_after_reclaim" (T.stats t))
+    checki "no use-after-reclaim" 0 violations
   done
 
 let () =

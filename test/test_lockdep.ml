@@ -190,6 +190,7 @@ let test_clean_citrus_silent () =
                 Tree.unregister h))
       in
       List.iter Domain.join domains;
+      Tree.shutdown t;
       checki "no violations" 0 (Lockdep.violations ());
       checkb "protocol was actually validated" true (Lockdep.checks () > 0))
 

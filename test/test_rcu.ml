@@ -395,74 +395,6 @@ let test_implementations_list () =
     [ "epoch-rcu"; "urcu"; "qsbr" ]
     names
 
-(* --- Defer --- *)
-
-module Defer_tests (R : Repro_rcu.Rcu.S) = struct
-  module D = Repro_rcu.Defer.Make (R)
-
-  let test_batching () =
-    let r = R.create () in
-    let d = D.create ~batch:3 r in
-    let log = ref [] in
-    D.defer d (fun () -> log := 1 :: !log);
-    D.defer d (fun () -> log := 2 :: !log);
-    checki "pending below batch" 2 (D.pending d);
-    Alcotest.check Alcotest.(list int) "nothing ran yet" [] !log;
-    D.defer d (fun () -> log := 3 :: !log);
-    checki "flushed at batch" 0 (D.pending d);
-    Alcotest.check Alcotest.(list int) "FIFO order" [ 3; 2; 1 ] !log;
-    checki "executed" 3 (D.executed d)
-
-  let test_flush_empty () =
-    let r = R.create () in
-    let d = D.create r in
-    let gp0 = R.grace_periods r in
-    D.flush d;
-    checki "no grace period for empty flush" gp0 (R.grace_periods r)
-
-  (* A deferred callback must not run while any reader that pre-dates the
-     defer-triggered grace period is still inside its critical section. *)
-  let test_defer_respects_grace_period () =
-    let r = R.create () in
-    let ready = Barrier.create 2 in
-    let freed = Atomic.make false in
-    let observed_freed_inside_cs = Atomic.make false in
-    let reader =
-      Domain.spawn (fun () ->
-          let th = R.register r in
-          R.read_lock th;
-          Barrier.wait ready;
-          Unix.sleepf 0.05;
-          if Atomic.get freed then Atomic.set observed_freed_inside_cs true;
-          R.read_unlock th;
-          R.unregister th)
-    in
-    let writer =
-      Domain.spawn (fun () ->
-          let d = D.create ~batch:1 r in
-          Barrier.wait ready;
-          D.defer d (fun () -> Atomic.set freed true))
-    in
-    Domain.join reader;
-    Domain.join writer;
-    checkb "callback ran after reader exited" false
-      (Atomic.get observed_freed_inside_cs);
-    checkb "callback did run" true (Atomic.get freed)
-
-  let suite name =
-    ( name,
-      [
-        Alcotest.test_case "batching and order" `Quick test_batching;
-        Alcotest.test_case "empty flush is free" `Quick test_flush_empty;
-        Alcotest.test_case "respects grace period" `Quick
-          test_defer_respects_grace_period;
-      ] )
-end
-
-module Defer_epoch = Defer_tests (Repro_rcu.Epoch_rcu)
-module Defer_urcu = Defer_tests (Repro_rcu.Urcu)
-module Defer_qsbr = Defer_tests (Repro_rcu.Qsbr)
-
 let () =
   Alcotest.run "rcu"
     [
@@ -478,7 +410,4 @@ let () =
           Alcotest.test_case "implementations list" `Quick
             test_implementations_list;
         ] );
-      Defer_epoch.suite "defer over epoch-rcu";
-      Defer_urcu.suite "defer over urcu";
-      Defer_qsbr.suite "defer over qsbr";
     ]

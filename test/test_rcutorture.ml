@@ -9,9 +9,9 @@
 
    On top of the classic configurations, the fault-driven cases arm the
    injection points from ROBUSTNESS.md: delays inside the grace-period
-   machinery, extra grace periods in Defer.flush, parked readers. Faults
-   stretch the windows the algorithm must already tolerate, so the
-   correctness criterion is unchanged: zero errors. *)
+   machinery, parked readers. Faults stretch the windows the algorithm
+   must already tolerate, so the correctness criterion is unchanged: zero
+   errors. *)
 
 module Torture = Repro_rcu.Torture
 
@@ -75,7 +75,7 @@ module Suite (R : Repro_rcu.Rcu.S) = struct
             updates_per_writer = 200;
             nest = true;
             reader_delay = true;
-            use_defer = true;
+            use_poll = true;
           }
           10;
         case "faults: delayed grace periods"
@@ -104,8 +104,8 @@ module Suite (R : Repro_rcu.Rcu.S) = struct
             writers = 2;
             slots = 4;
             updates_per_writer = 150;
-            use_defer = true;
-            faults = [ ("defer.flush", 0.5, None) ];
+            use_poll = true;
+            faults = [ (sync_fault, 0.5, None) ];
           }
           10;
         (* Writers snapshot the grace-period sequence at unlink, dawdle,

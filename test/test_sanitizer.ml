@@ -1,7 +1,7 @@
-(* Reclamation sanitizer: shadow state machine, integration with Defer
-   and the RCU flavours, read-side exception safety, and the mutation
-   suite proving seeded grace-period bugs are detected (ROBUSTNESS.md,
-   "Reclamation sanitizer"). *)
+(* Reclamation sanitizer: shadow state machine, integration with the RCU
+   flavours, read-side exception safety, and the mutation suite proving
+   seeded grace-period bugs are detected (ROBUSTNESS.md, "Reclamation
+   sanitizer"). *)
 
 module San = Repro_sanitizer.Sanitizer
 module Fault = Repro_fault.Fault
@@ -103,49 +103,6 @@ let test_leak_audit () =
       checki "audit now clean" 0 (List.length (San.audit d)))
 
 (* ------------------------------------------------------------------ *)
-(* Defer integration *)
-
-let test_defer_shadow_lifecycle () =
-  with_san (fun () ->
-      San.reset_violations ();
-      let module R = Repro_rcu.Epoch_rcu in
-      let module Defer = Repro_rcu.Defer.Make (R) in
-      let dom = San.create "defer" in
-      let r = R.create () in
-      let d = Defer.create r in
-      let s = San.register dom in
-      let ran = ref 0 in
-      Defer.defer d ~shadow:s (fun () -> incr ran);
-      checkb "enqueue marks Deferred" true
-        (match San.state s with San.Deferred _ -> true | _ -> false);
-      (* Re-enqueueing the same object is rejected before the queue is
-         touched, so the free still runs exactly once. *)
-      (match Defer.defer d ~shadow:s (fun () -> incr ran) with
-      | () -> Alcotest.fail "double enqueue must raise"
-      | exception San.Violation rep ->
-          checkb "rejected as double free" true
-            (rep.San.kind = San.Double_free));
-      Defer.drain d;
-      checki "callback ran exactly once" 1 !ran;
-      checkb "drain marks Reclaimed" true
-        (match San.state s with San.Reclaimed _ -> true | _ -> false);
-      checki "no leaked deferrals" 0 (San.deferred_count dom);
-      San.reset_violations ())
-
-let test_defer_leak_detected () =
-  with_san (fun () ->
-      let module R = Repro_rcu.Epoch_rcu in
-      let module Defer = Repro_rcu.Defer.Make (R) in
-      let dom = San.create "defer-leak" in
-      let r = R.create () in
-      let d = Defer.create r in
-      let s = San.register dom in
-      Defer.defer d ~shadow:s ignore;
-      checki "pending free visible to the audit" 1 (San.deferred_count dom);
-      Defer.drain d;
-      checki "drained queue leaks nothing" 0 (San.deferred_count dom))
-
-(* ------------------------------------------------------------------ *)
 (* Per-flavour: clean lifecycle and forced early reclaim *)
 
 module FlavourTests (R : Repro_rcu.Rcu.S) = struct
@@ -208,7 +165,7 @@ module FlavourTests (R : Repro_rcu.Rcu.S) = struct
         slots = 2;
         updates_per_writer = 150;
         reader_delay = true;
-        use_defer = true;
+        use_poll = true;
         sanitize = true;
       }
     in
@@ -349,6 +306,7 @@ let test_citrus_sanitized_clean () =
       Atomic.set stop true;
       List.iter Domain.join readers;
       TInt.unregister h0;
+      TInt.shutdown t;
       checki "no violations on correct Citrus" 0 (San.violations ()))
 
 (* ------------------------------------------------------------------ *)
@@ -426,12 +384,6 @@ let () =
             test_state_machine;
           Alcotest.test_case "double free" `Quick test_double_free;
           Alcotest.test_case "leak audit" `Quick test_leak_audit;
-        ] );
-      ( "defer",
-        [
-          Alcotest.test_case "shadow lifecycle" `Quick
-            test_defer_shadow_lifecycle;
-          Alcotest.test_case "leak detection" `Quick test_defer_leak_detected;
         ] );
       ("epoch-rcu", Epoch_tests.tests);
       ("urcu", Urcu_tests.tests);
