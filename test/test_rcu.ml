@@ -1,7 +1,8 @@
-(* Tests for both RCU implementations: API discipline, the RCU property
+(* Tests for the RCU implementations: API discipline, the RCU property
    (synchronize waits for pre-existing readers but not for later ones), and
-   deferred reclamation ordering. Each behavioural test runs against both
-   flavours via the functor below. *)
+   a deferred free (call_rcu) never running under a pre-existing reader.
+   Each behavioural test runs against every flavour via the functors
+   below. *)
 
 module Barrier = Repro_sync.Barrier
 
@@ -395,6 +396,55 @@ let test_implementations_list () =
     [ "epoch-rcu"; "urcu"; "qsbr" ]
     names
 
+(* --- Deferred frees --- *)
+
+module Defer_tests (R : Repro_rcu.Rcu.S) = struct
+  module Rec = Repro_rcu.Reclaimer.Make (R)
+
+  (* A callback handed to call_rcu from another domain must not run while
+     any reader that pre-dates the call is still inside its critical
+     section; the reader itself looks before leaving. *)
+  let test_defer_respects_grace_period () =
+    let r = R.create () in
+    let rc = Rec.create r in
+    let ready = Barrier.create 2 in
+    let freed = Atomic.make false in
+    let observed_freed_inside_cs = Atomic.make false in
+    let reader =
+      Domain.spawn (fun () ->
+          let th = R.register r in
+          R.read_lock th;
+          Barrier.wait ready;
+          Unix.sleepf 0.05;
+          if Atomic.get freed then Atomic.set observed_freed_inside_cs true;
+          R.read_unlock th;
+          R.unregister th)
+    in
+    let writer =
+      Domain.spawn (fun () ->
+          let p = Rec.new_producer rc in
+          Barrier.wait ready;
+          Rec.call_rcu rc p (fun () -> Atomic.set freed true))
+    in
+    Domain.join reader;
+    Domain.join writer;
+    Rec.stop rc;
+    checkb "callback ran after reader exited" false
+      (Atomic.get observed_freed_inside_cs);
+    checkb "callback did run" true (Atomic.get freed)
+
+  let suite name =
+    ( name,
+      [
+        Alcotest.test_case "respects grace period" `Quick
+          test_defer_respects_grace_period;
+      ] )
+end
+
+module Defer_epoch = Defer_tests (Repro_rcu.Epoch_rcu)
+module Defer_urcu = Defer_tests (Repro_rcu.Urcu)
+module Defer_qsbr = Defer_tests (Repro_rcu.Qsbr)
+
 let () =
   Alcotest.run "rcu"
     [
@@ -410,4 +460,7 @@ let () =
           Alcotest.test_case "implementations list" `Quick
             test_implementations_list;
         ] );
+      Defer_epoch.suite "defer over epoch-rcu";
+      Defer_urcu.suite "defer over urcu";
+      Defer_qsbr.suite "defer over qsbr";
     ]
