@@ -217,9 +217,11 @@ let synchronize rcu =
              the first woken waiter grabs the scanner role and bumps
              [gp_started] before the others run, pushing their snapshots
              out by a whole extra grace period (the kernel's
-             cond_resched() before starting a new GP). A real sleep, not
-             sleepf 0.: only an actual deschedule lets them in. Skipped
-             when nobody is waiting. *)
+             cond_resched() before starting a new GP). A sleep, not a
+             cpu_relax spin: only an actual deschedule lets them in. On
+             Linux any sub-slack sleep, [sleepf 1e-9] and [sleepf 0.]
+             alike, lasts the thread's timer slack (50 us by default).
+             Skipped when nobody is waiting. *)
           if Gp.coalescing () && Gp.Waitq.waiters rcu.waitq > 0 then
             Unix.sleepf 1e-9;
           let my = Atomic.fetch_and_add rcu.gp_started 1 + 1 in

@@ -10,21 +10,23 @@ let set_coalescing b = Atomic.set coalesce b
 let coalescing () = Atomic.get coalesce
 
 (* The wait queue piggybacking synchronizers block on (epoch-rcu and
-   qsbr; urcu queues on its gp_lock instead). Extracted here so the one
-   legitimate Mutex/Condition use in the library lives in this file —
-   `dune build @lint` forbids Stdlib.Mutex/Condition everywhere else —
-   and so the condvar wait shares the lockdep RCU-context check with
-   [synchronize]: blocking on a grace period from inside a read-side
-   critical section is the same self-deadlock whichever wait path takes
-   it. *)
+   qsbr; urcu queues on its gp_lock instead), and the serving layer's
+   parked hand-offs (an idle shard updater, a waited writer). Extracted
+   here so the one legitimate Mutex/Condition use in the library lives
+   in this file — `dune build @lint` forbids Stdlib.Mutex/Condition
+   everywhere else — and so the condvar wait shares the lockdep
+   RCU-context check with [synchronize]: blocking from inside a
+   read-side critical section is the same self-deadlock whichever wait
+   path takes it. *)
 module Waitq = struct
   module Lockdep = Repro_lockdep.Lockdep
 
   type t = {
     mu : Mutex.t;
     cond : Condition.t;
-    (* Number of synchronizers blocked on [cond] (or about to be): lets
-       scanners skip their pre-scan yield when nobody is waiting. *)
+    (* Number of domains blocked on [cond] (or about to be): lets
+       scanners skip their pre-scan yield, and wakers their broadcast,
+       when nobody is waiting. *)
     waiters : int Atomic.t;
   }
 

@@ -19,22 +19,29 @@ val set_coalescing : bool -> unit
 
 val coalescing : unit -> bool
 
-(** Condvar wait queue for piggybacking synchronizers (epoch-rcu and
-    qsbr block here instead of polling for the in-flight scan). This is
-    the {e only} module in the library allowed to touch
+(** Condvar wait queue. Its users:
+    - piggybacking synchronizers: epoch-rcu and qsbr block here instead
+      of polling for the in-flight scan;
+    - the serving layer's [Repro_server.Mod_queue]: an idle shard
+      updater parks on its queue's wait queue, and a waited writer parks
+      on its completion's own one.
+
+    This is the {e only} module in the library allowed to touch
     [Stdlib.Mutex]/[Condition] — `dune build @lint` enforces it — and
-    {!Waitq.wait} runs the lockdep RCU-context check, so blocking on a
-    grace period from inside a read-side critical section raises
-    [Repro_lockdep.Lockdep.Violation] on this path exactly as on the
-    direct [synchronize] path. *)
+    {!Waitq.wait} runs the lockdep RCU-context check, so blocking here
+    from inside a read-side critical section raises
+    [Repro_lockdep.Lockdep.Violation] exactly as on the direct
+    [synchronize] path. *)
 module Waitq : sig
   type t
 
   val create : unit -> t
 
   val waiters : t -> int
-  (** Synchronizers currently blocked (or about to block): scanners
-      consult this to skip their pre-scan yield when nobody waits. *)
+  (** Domains currently blocked (or about to block): scanners consult
+      this to skip their pre-scan yield when nobody waits, and wakers to
+      skip the broadcast. Read after publishing the state a waiter's
+      [block_if] checks, a zero count means no waiter can miss it. *)
 
   val broadcast : t -> unit
   (** Wake every waiter (taken and released under the internal mutex, so

@@ -1,5 +1,5 @@
 module Spinlock = Repro_sync.Spinlock
-module Backoff = Repro_sync.Backoff
+module Waitq = Repro_rcu.Gp.Waitq
 module Metrics = Repro_sync.Metrics
 module Trace = Repro_sync.Trace
 module Stats = Repro_sync.Stats
@@ -18,11 +18,12 @@ type op = Insert of int * int | Delete of int
 (* 0 = pending, 1 = completed false, 2 = completed true, 3 = aborted,
    4 = expired, 5 = replayed false, 6 = replayed true.
    A completion is write-once (complete / abort / expire / replay) and
-   spin-read (await); no lock, so a waiter costs the updater nothing.
-   Every resolver only wins from the pending state — a resolved
-   completion stays resolved, so a purge racing the updater's completion
-   store never un-resolves a result a waiter may already have read. *)
-type completion = int Atomic.t
+   its waiter parks on the completion's own wait queue, so a resolution
+   wakes exactly the client waiting on it. Every resolver only wins from
+   the pending state — a resolved completion stays resolved, so a purge
+   racing the updater's completion store never un-resolves a result a
+   waiter may already have read. *)
+type completion = { code : int Atomic.t; waitq : Waitq.t }
 
 type status =
   | Pending
@@ -31,16 +32,23 @@ type status =
   | Expired
   | Replayed of bool
 
-let completion () = Atomic.make 0
+let completion () = { code = Atomic.make 0; waitq = Waitq.create () }
 
-let complete c result = ignore (Atomic.compare_and_set c 0 (if result then 2 else 1))
+(* The single resolution point, so no resolver can forget the wake. The
+   waiter registers on [waitq] before re-reading [code] under its mutex;
+   we read the waiter count after the CAS — so either the waiter sees the
+   code, or we see the waiter and broadcast. *)
+let resolve c code =
+  if Atomic.compare_and_set c.code 0 code && Waitq.waiters c.waitq > 0 then
+    Waitq.broadcast c.waitq
 
-let abort c = ignore (Atomic.compare_and_set c 0 3)
+let complete c result = resolve c (if result then 2 else 1)
 
-let expire c = ignore (Atomic.compare_and_set c 0 4)
+let abort c = resolve c 3
 
-let complete_replayed c result =
-  ignore (Atomic.compare_and_set c 0 (if result then 6 else 5))
+let expire c = resolve c 4
+
+let complete_replayed c result = resolve c (if result then 6 else 5)
 
 let status_of_code = function
   | 0 -> Pending
@@ -51,18 +59,16 @@ let status_of_code = function
   | 6 -> Replayed true
   | _ -> Aborted
 
-let peek c = status_of_code (Atomic.get c)
+let peek c = status_of_code (Atomic.get c.code)
 
+(* Park at once: a resolution is an updater's whole apply away, and on
+   few cores spinning or napping for it steals the CPU from that very
+   updater. The loop absorbs spurious condvar wake-ups. *)
 let await c =
-  let b = Backoff.create () in
-  let rec go () =
-    match Atomic.get c with
-    | 0 ->
-        Backoff.once b;
-        go ()
-    | code -> status_of_code code
-  in
-  go ()
+  while Atomic.get c.code = 0 do
+    Waitq.wait c.waitq ~block_if:(fun () -> Atomic.get c.code = 0)
+  done;
+  peek c
 
 type entry = {
   op : op;
@@ -96,11 +102,17 @@ type t = {
   mutable purged : int;
   mutable max_depth : int;
   mutable closed : bool; (* guarded by [lock]; one-way, see [close] *)
-  (* Staleness watchdog state, outside the lock: the producer-side check
-     must stay cheap and must keep working when the consumer is wedged
-     (the very condition it reports), so it cannot depend on the lock
-     discipline of the draining side. *)
+  idle : Waitq.t; (* the drainer parks here while the queue is empty *)
+  (* Staleness watchdog state, read outside the lock: the producer-side
+     check must stay cheap and must keep working when the consumer is
+     wedged (the very condition it reports), so it cannot depend on the
+     lock discipline of the draining side. *)
   last_drain_ns : int Atomic.t;
+  waiting_since : int Atomic.t;
+      (* 0 while empty; else the later of the last drain and the moment
+         the queue became non-empty. Written under [lock] together with
+         [len], so a lock-free reader never pairs a non-empty queue with
+         a timestamp from before it filled. *)
   last_warn_ns : int Atomic.t;
   drainer : int Atomic.t; (* domain id of the last draining domain; -1 = none *)
 }
@@ -139,7 +151,9 @@ let create ?(id = 0) ~depth () =
     purged = 0;
     max_depth = 0;
     closed = false;
+    idle = Waitq.create ();
     last_drain_ns = Atomic.make (Metrics.now_ns ());
+    waiting_since = Atomic.make 0;
     last_warn_ns = Atomic.make 0;
     drainer = Atomic.make (-1);
   }
@@ -154,9 +168,11 @@ let drainer_domain t = Atomic.get t.drainer
 
    The grace-period [Stall] pattern ported to the write path: a global
    threshold, checked by producers (the side still alive when the updater
-   wedges), one report per threshold window. [last_drain_ns] is bumped by
-   every [drain] call — including empty splices — so staleness means "the
-   updater has not even looked", not "the queue is busy". *)
+   wedges), one report per threshold window. Staleness runs from the
+   later of the last [drain] call and the moment the queue last became
+   non-empty ([waiting_since]), so it means "the updater has not looked
+   since there was work", not "the queue is busy" — and not "the updater
+   was parked on an empty queue". *)
 
 let stall_threshold = Atomic.make 0 (* ns; 0 = disarmed *)
 
@@ -167,12 +183,16 @@ let set_stall_threshold_ns ns =
 
 let stall_threshold_ns () = Atomic.get stall_threshold
 
+let stale_ns t ~now =
+  let since = Atomic.get t.waiting_since in
+  if since = 0 then 0 else now - since
+
 let check_stall t =
   let thr = Atomic.get stall_threshold in
-  if thr > 0 && t.len > 0 then begin
+  if thr > 0 then begin
     let now = Metrics.now_ns () in
-    let last = Atomic.get t.last_drain_ns in
-    if now - last > thr then begin
+    let stale = stale_ns t ~now in
+    if stale > thr then begin
       let warn = Atomic.get t.last_warn_ns in
       (* One report per window; the CAS elects a single reporter among
          concurrent producers. *)
@@ -187,7 +207,7 @@ let check_stall t =
            (depth %d/%d, updater domain %s)\n\
            %!"
           t.id
-          (float_of_int (now - last) /. 1e6)
+          (float_of_int stale /. 1e6)
           t.len t.depth
           (if d < 0 then "none" else string_of_int d)
       end
@@ -218,12 +238,20 @@ let enqueue t ?completion ?(deadline_ns = 0) ?(probe = false) op =
     Admit_full
   end
   else begin
+    let was_empty = t.len = 0 in
+    if was_empty then
+      Atomic.set t.waiting_since
+        (if enqueued_at > 0 then enqueued_at else Metrics.now_ns ());
     t.buf.((t.head + t.len) mod t.depth)
     <- { op; completion; enqueued_at; deadline_ns; probe };
     t.len <- t.len + 1;
     if t.len > t.max_depth then t.max_depth <- t.len;
     t.enqueued <- t.enqueued + 1;
     Spinlock.release t.lock;
+    (* Only the empty -> non-empty enqueue can find the drainer parked:
+       [park] blocks only on an empty queue, re-checked under the lock
+       after registering as a waiter. *)
+    if was_empty && Waitq.waiters t.idle > 0 then Waitq.broadcast t.idle;
     if Metrics.enabled () then
       Stats.incr Metrics.mod_enqueues (Metrics.slot ());
     Trace.record Trace.Mod_enqueue t.id;
@@ -236,7 +264,19 @@ let try_enqueue t ?completion ?deadline_ns ?probe op =
 let close t =
   Spinlock.acquire t.lock;
   t.closed <- true;
-  Spinlock.release t.lock
+  Spinlock.release t.lock;
+  if Waitq.waiters t.idle > 0 then Waitq.broadcast t.idle
+
+(* The waiter count plus the re-check under [Waitq]'s mutex is the
+   lost-wake-up handshake: an enqueue or close either lands before the
+   re-check (which then sees it) or after it, when it sees the waiter
+   and broadcasts. *)
+let park t =
+  Waitq.wait t.idle ~block_if:(fun () ->
+      Spinlock.acquire t.lock;
+      let block = t.len = 0 && not t.closed in
+      Spinlock.release t.lock;
+      block)
 
 let is_closed t =
   Spinlock.acquire t.lock;
@@ -254,6 +294,7 @@ let drain t ~max =
     Fault.inject fp_drain_stall
   end;
   Atomic.set t.drainer (Domain.self () :> int);
+  let now = Metrics.now_ns () in
   Spinlock.acquire t.lock;
   let k = min max t.len in
   let out = Array.init k (fun i -> t.buf.((t.head + i) mod t.depth)) in
@@ -263,8 +304,9 @@ let drain t ~max =
   t.head <- (t.head + k) mod t.depth;
   t.len <- t.len - k;
   t.drained <- t.drained + k;
+  Atomic.set t.waiting_since (if t.len > 0 then now else 0);
   Spinlock.release t.lock;
-  Atomic.set t.last_drain_ns (Metrics.now_ns ());
+  Atomic.set t.last_drain_ns now;
   if k > 0 then begin
     if Metrics.enabled () then begin
       let slot = Metrics.slot () in
@@ -291,6 +333,7 @@ let purge t =
   t.head <- (t.head + k) mod t.depth;
   t.len <- 0;
   t.purged <- t.purged + k;
+  Atomic.set t.waiting_since 0;
   Spinlock.release t.lock;
   Array.iter
     (fun e -> match e.completion with Some c -> abort c | None -> ())

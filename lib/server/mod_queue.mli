@@ -24,7 +24,10 @@ type op = Insert of int * int | Delete of int
 (** {2 Completions}
 
     A write-once cell a client may attach to an operation to wait for its
-    result — the synchronous option on the asynchronous write path. *)
+    result — the synchronous option on the asynchronous write path. Each
+    cell owns a {!Repro_rcu.Gp.Waitq}: the waiter parks on it, and every
+    resolver below wakes it, so a resolution wakes only the client
+    waiting on that cell. *)
 
 type completion
 
@@ -51,8 +54,9 @@ val completion : unit -> completion
 (** A fresh pending cell. *)
 
 val complete : completion -> bool -> unit
-(** Resolve the cell with the operation's result (updater side). No-op if
-    the cell was already resolved. *)
+(** Resolve the cell with the operation's result (updater side) and wake
+    its waiter. No-op if the cell was already resolved. Like every
+    resolver, works on a cell that was never enqueued. *)
 
 val abort : completion -> unit
 (** Resolve the cell as abandoned (purge side). No-op if the cell was
@@ -70,11 +74,12 @@ val complete_replayed : completion -> bool -> unit
 val peek : completion -> status
 
 val await : completion -> status
-(** Spin (with {!Repro_sync.Backoff}, so the wait escalates to naps and
-    never starves the updater on one core) until the cell resolves;
-    returns the resolved status (never [Pending]). Only terminates if an
-    updater is draining — or a purge abandons — the queue the operation
-    was accepted into. *)
+(** Park the calling domain until the cell resolves, without spinning
+    first; returns the resolved status (never [Pending]). Only terminates
+    if an updater is draining — or a purge abandons — the queue the
+    operation was accepted into. With lockdep armed, awaiting inside an
+    RCU read section is a violation: the updater that would resolve the
+    cell may be waiting for that section to end. *)
 
 (** {2 The queue} *)
 
@@ -141,15 +146,24 @@ val try_enqueue :
 
 val close : t -> unit
 (** Permanently stop admitting entries ({!enqueue} returns
-    [Admit_closed]). Taken under the queue lock: once [close] returns,
-    every concurrent enqueue has either already landed its entry —
-    visible to a subsequent {!drain} or {!purge} — or is rejected, so a
-    purge (or drain-to-empty) after [close] provably strands nothing.
-    Draining is unaffected; idempotent. This is the admission barrier of
-    the failure paths: a shard marked [Failed] and router shutdown both
-    [close] before sweeping the queue. *)
+    [Admit_closed]) and wake a {!park}ed drainer. Taken under the queue
+    lock: once [close] returns, every concurrent enqueue has either
+    already landed its entry — visible to a subsequent {!drain} or
+    {!purge} — or is rejected, so a purge (or drain-to-empty) after
+    [close] provably strands nothing. Draining is unaffected;
+    idempotent. This is the admission barrier of the failure paths: a
+    shard marked [Failed] and router shutdown both [close] before
+    sweeping the queue. *)
 
 val is_closed : t -> bool
+
+val park : t -> unit
+(** Block the draining domain while the queue is empty and open. Woken
+    by the {!enqueue} that makes the queue non-empty and by {!close};
+    returns at once if either already happened. May return spuriously —
+    the caller re-drains and parks again. The emptiness check runs under
+    the queue lock after registering as a waiter, so no wake-up is
+    lost. *)
 
 val drain : t -> max:int -> entry array
 (** Splice out up to [max] operations in FIFO order. The lock is released
@@ -158,7 +172,8 @@ val drain : t -> max:int -> entry array
     locks. Single consumer: FIFO application order is only meaningful
     with one draining domain. Empty array = queue empty. Every call —
     including on an empty queue — feeds the staleness watchdog and
-    records the calling domain as the queue's drainer.
+    records the calling domain as the queue's drainer; between drains an
+    idle drainer {!park}s.
     @raise Invalid_argument if [max <= 0]. *)
 
 val purge : t -> int
@@ -177,11 +192,12 @@ val stats : t -> stats
 
     The grace-period stall-watchdog pattern ([Repro_rcu.Stall]) ported to
     the write path: when armed, producers check on each enqueue whether
-    the queue is non-empty and no {!drain} has run for more than the
-    threshold — a wedged, crashed, or grace-period-bound updater — and
-    emit one structured warning per threshold window, naming the shard
-    and the updater domain, counting [mod_queue_stalls] and tracing
-    [Mod_stall]. *)
+    the queue's backlog has gone unseen by its drainer for more than the
+    threshold ({!stale_ns}) — a wedged, crashed, or grace-period-bound
+    updater — and emit one structured warning per threshold window,
+    naming the shard and the updater domain, counting [mod_queue_stalls]
+    and tracing [Mod_stall]. An updater parked on an empty queue is idle,
+    not stale: staleness starts when the queue becomes non-empty. *)
 
 val set_stall_threshold_ns : int -> unit
 (** Arm the watchdog process-wide ([0] disarms, the default). The check
@@ -194,8 +210,14 @@ val check_stall : t -> unit
 (** Run one watchdog check explicitly (the same check enqueues run) —
     for pollers that want stall detection on an otherwise idle queue. *)
 
+val stale_ns : t -> now:int -> int
+(** How long the current backlog has waited for its drainer at [now]:
+    [0] while the queue is empty, else [now] minus the later of the last
+    {!drain} call and the moment the queue became non-empty. Lock-free. *)
+
 val last_drain_ns : t -> int
-(** Timestamp of the most recent {!drain} call (creation time if none). *)
+(** Timestamp of the most recent {!drain} call (creation time if none).
+    A parked drainer does not drain, so on an idle queue it stays put. *)
 
 val drainer_domain : t -> int
 (** Domain id of the last draining domain; [-1] before the first drain. *)

@@ -1,4 +1,3 @@
-module Backoff = Repro_sync.Backoff
 module Metrics = Repro_sync.Metrics
 module Stats = Repro_sync.Stats
 module Fault = Repro_fault.Fault
@@ -11,7 +10,9 @@ module Stall = Repro_rcu.Stall
    the paper); writes are enqueued and applied asynchronously, so a
    client never pays a grace period — the updater does, and while one
    shard's updater is blocked in synchronize the other shards' updaters
-   keep draining. See SERVING.md.
+   keep draining. An updater with nothing to drain parks on its queue,
+   and a waited writer parks on its completion: both hand-offs block
+   rather than poll. See SERVING.md.
 
    Each updater runs under a [Supervisor]: a crash (injected or real)
    unregisters the dead domain's RCU slot, and the restarted incarnation
@@ -79,6 +80,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
        CAS to lose against any concurrent completion. *)
     pending : Mod_queue.entry array Atomic.t;
     pending_at : int Atomic.t;
+    last_pressure_ns : int Atomic.t; (* admission's last pressure poll *)
   }
 
   type t = {
@@ -131,6 +133,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
               crash_flag = Atomic.make false;
               pending = Atomic.make [||];
               pending_at = Atomic.make 0;
+              last_pressure_ns = Atomic.make 0;
             });
       drain_batch;
       policy = supervisor;
@@ -188,13 +191,40 @@ module Make (D : Repro_dict.Dict.DICT) = struct
      to grow and nothing will shrink it until the stalled reader moves. *)
   let stall_recent_ns = 200_000_000
 
-  (* Throttle for the updater's pressure poll: walking the reclaimer's
-     producer bags on every idle spin would be pure overhead. *)
+  (* Throttle for the pressure poll: walking the reclaimer's producer
+     bags on every admission would be pure overhead. *)
   let pressure_poll_ns = 1_000_000
+
+  (* Reclamation-pressure observation, made by admission at most once
+     per [pressure_poll_ns] per shard (the CAS elects one observer among
+     concurrent producers): the table's retired-backlog pressure, maxed
+     to 1.0 while grace periods are recently stalled, into [Health] and
+     the [reclaim_pressure] gauge. Admission is where the verdict is
+     needed — an idle shard's updater is parked — so a latch set under
+     load clears on the first write after the pressure falls, before
+     that write's health check. *)
+  let observe_pressure s ~now =
+    let last = Atomic.get s.last_pressure_ns in
+    if
+      now - last > pressure_poll_ns
+      && Atomic.compare_and_set s.last_pressure_ns last now
+    then begin
+      let p = D.reclaim_pressure s.table in
+      let p =
+        if Stall.recently_stalled ~within_ns:stall_recent_ns then
+          Float.max p 1.0
+        else p
+      in
+      Health.observe_reclaim_pressure s.health p;
+      if Metrics.enabled () then
+        Stats.Timer.record Metrics.reclaim_pressure (Metrics.slot ())
+          (int_of_float (p *. 1000.0))
+    end
 
   (* Updater body, one incarnation: adopt whatever batch the previous
      incarnation left unapplied, then splice-apply-resolve until [stop]
-     (drain first) or [abandon] (exit at the next batch boundary). An
+     (drain first) or [abandon] (exit at the next batch boundary),
+     parking on the queue whenever a drain comes back empty. An
      exception — injected or real — escapes to the supervisor after
      [Fun.protect] frees the RCU slot; [pending]/[pending_at] then hold
      exactly the unapplied remainder for the successor.
@@ -205,30 +235,9 @@ module Make (D : Repro_dict.Dict.DICT) = struct
      the backlog only ever gets older, so every write waits behind dead
      ones and expires in turn. Expired entries resolve [Expired] without
      touching the tree. Each applied/expired entry also feeds the
-     shard's breaker, and the updater is the shard's reclamation-
-     pressure observer: it polls the table's retired-backlog pressure
-     (maxed to 1.0 while grace periods are recently stalled) into
-     [Health] and the [reclaim_pressure] gauge. *)
+     shard's breaker. *)
   let updater t shard () =
     let h = D.register shard.table in
-    let idle = Backoff.create () in
-    let last_pressure_poll = ref 0 in
-    let observe_pressure () =
-      let now = Metrics.now_ns () in
-      if now - !last_pressure_poll > pressure_poll_ns then begin
-        last_pressure_poll := now;
-        let p = D.reclaim_pressure shard.table in
-        let p =
-          if Stall.recently_stalled ~within_ns:stall_recent_ns then
-            Float.max p 1.0
-          else p
-        in
-        Health.observe_reclaim_pressure shard.health p;
-        if Metrics.enabled () then
-          Stats.Timer.record Metrics.reclaim_pressure (Metrics.slot ())
-            (int_of_float (p *. 1000.0))
-      end
-    in
     let apply_entry ~replayed (e : Mod_queue.entry) =
       maybe_crash shard;
       let now = Metrics.now_ns () in
@@ -287,23 +296,23 @@ module Make (D : Repro_dict.Dict.DICT) = struct
       (* A non-empty [pending] here is a crashed predecessor's adopted
          batch: every remaining entry resolves [Replayed]. *)
       apply_pending ~replayed:true;
+      (* Shutdown closes the queue after setting [stop], and forced
+         shutdown sets [abandon] only after that close, so the close's
+         wake-up reaches a parked updater in both cases. *)
       let rec loop () =
         if not (Atomic.get t.abandon) then begin
           let batch = Mod_queue.drain shard.queue ~max:t.drain_batch in
           if Array.length batch = 0 then begin
             if not (Atomic.get t.stop) then begin
-              observe_pressure ();
-              Backoff.once idle;
+              Mod_queue.park shard.queue;
               loop ()
             end
           end
           else begin
-            Backoff.reset idle;
             Atomic.set shard.pending_at 0;
             Atomic.set shard.pending batch;
             apply_pending ~replayed:false;
             Health.observe_depth shard.health (Mod_queue.length shard.queue);
-            observe_pressure ();
             loop ()
           end
         end
@@ -536,19 +545,20 @@ module Make (D : Repro_dict.Dict.DICT) = struct
      bound rejects the rest. Sheds, full-queue rejects and expiries all
      feed the breaker's failure window — persistent per-request
      backpressure is what converts into an open breaker. The health
-     observations happen on this path because the producers are the
-     domains still alive when an updater wedges. *)
+     observations (pressure, depth, staleness) happen on this path
+     because the producers are the domains still alive when an updater
+     wedges, and the only ones running when it idles. *)
   let enqueue h k ~waited ?completion ?(deadline_ns = 0) op =
     let t = h.router in
     if Atomic.get t.stop then Error Shutdown
     else begin
       let s = t.shards.(shard_of t k) in
-      let depth = Mod_queue.length s.queue in
-      Health.observe_depth s.health depth;
       let now = Metrics.now_ns () in
+      observe_pressure s ~now;
+      Health.observe_depth s.health (Mod_queue.length s.queue);
       let thr = Mod_queue.stall_threshold_ns () in
-      if thr > 0 && depth > 0 && now - Mod_queue.last_drain_ns s.queue > thr
-      then Health.note_stall s.health;
+      if thr > 0 && Mod_queue.stale_ns s.queue ~now > thr then
+        Health.note_stall s.health;
       match Health.state s.health with
       | Health.Failed -> Error Failed
       | (Health.Degraded | Health.Healthy) as hs ->
@@ -638,6 +648,9 @@ module Make (D : Repro_dict.Dict.DICT) = struct
   let load h k v = D.insert h.handles.(shard_of h.router k) k v
 
   let queue_stats t = Array.map (fun s -> Mod_queue.stats s.queue) t.shards
+
+  let last_drain_ns t =
+    Array.map (fun s -> Mod_queue.last_drain_ns s.queue) t.shards
 
   let health t = Array.map (fun s -> Health.state s.health) t.shards
 

@@ -184,8 +184,8 @@ module Make (D : Repro_dict.Dict.DICT) : sig
 
   val insert_wait :
     handle -> ?deadline_ns:int -> int -> int -> (write_result, reject) result
-  (** Enqueue with a completion cell and spin until the updater resolves
-      the operation: [Ok (Applied r)] is the tree-level result
+  (** Enqueue with a completion cell and park until the updater resolves
+      the operation ({!Mod_queue.await}): [Ok (Applied r)] is the tree-level result
       ([insert]'s "was absent"); [Ok (Replayed r)] the post-crash replay
       status (see {!type-write_result}). [Error] before acceptance is a
       typed reject (waited writes are still admitted on a [Degraded]
@@ -225,6 +225,10 @@ module Make (D : Repro_dict.Dict.DICT) : sig
   val queue_stats : t -> Mod_queue.stats array
   (** Per-shard queue counters (index = shard), each snapshotted under
       its queue lock. *)
+
+  val last_drain_ns : t -> int array
+  (** Per-shard {!Mod_queue.last_drain_ns} (index = shard). An idle
+      shard's updater is parked, so on an idle router these stay put. *)
 
   val health : t -> Health.state array
   (** Per-shard health states (index = shard). *)

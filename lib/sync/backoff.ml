@@ -10,9 +10,11 @@ let reset t =
   t.level <- 0;
   t.count <- 0
 
-(* Three regimes: busy pauses, timeslice yields, then short sleeps whose
+(* Three regimes: busy pauses, zero-length sleeps, then short sleeps whose
    duration grows with the level (capped at ~1ms so grace-period waits stay
-   responsive). *)
+   responsive). A zero-length sleep is not a yield: Linux rounds it up to
+   the thread's timer slack (50 us by default), measured at 55-57 us per
+   call on a 2-vCPU VM. *)
 let once t =
   t.count <- t.count + 1;
   let level = t.level in

@@ -4,10 +4,12 @@
    crash-restart (with both validators armed), restart-budget exhaustion
    (including that a failed shard aborts rather than strands its
    waiters), the closed-admission barrier, the staleness watchdog, the
-   shutdown drain deadline and no-updater backlog sweep, the open-loop
-   generator's retry/deadline accounting, the chaos backlog-loss
-   mutation, and an end-to-end serve run with lockdep and the
-   reclamation sanitizer armed. *)
+   parked updater and waiter hand-offs (no polling while idle, no lost
+   wake-up, release by purge and forced shutdown), admission-side
+   pressure healing, the shutdown drain deadline and no-updater backlog
+   sweep, the open-loop generator's retry/deadline accounting, the chaos
+   backlog-loss mutation, and an end-to-end serve run with lockdep and
+   the reclamation sanitizer armed. *)
 
 module Mod_queue = Repro_server.Mod_queue
 module Shard_router = Repro_server.Shard_router
@@ -21,6 +23,7 @@ module W = Repro_workload.Workload
 module Dict = Repro_dict.Dict
 module Metrics = Repro_sync.Metrics
 module Stats = Repro_sync.Stats
+module Stall = Repro_rcu.Stall
 module Router = Shard_router.Make (Dict.Citrus_epoch)
 
 let checkb = Alcotest.check Alcotest.bool
@@ -311,11 +314,13 @@ let test_shutdown_applies_pre_start_backlog () =
 (* --- Supervisor: a failed shard aborts its waiters --- *)
 
 let test_failed_shard_unblocks_waiter () =
-  (* Budget of zero: the first crash fails the shard. The waited write is
-     the very entry the crash lands on — its completion must abort (the
-     failure path closes admission, purges the queue and aborts the
-     adopted batch), so the waiter unblocks with [Failed] instead of
-     spinning forever on a queue no updater will ever drain again. *)
+  (* Budget of zero: the first crash fails the shard. The first waited
+     write is the very entry the crash lands on — its completion must
+     abort (the failure path closes admission, purges the queue and
+     aborts the adopted batch), so the waiter unblocks with [Failed]
+     instead of staying parked forever on a queue no updater will ever
+     drain again. [drain_batch:1] leaves a second parked waiter's write
+     queued behind it: only the purge can release that one. *)
   let policy =
     {
       Supervisor.max_restarts = 0;
@@ -325,28 +330,34 @@ let test_failed_shard_unblocks_waiter () =
     }
   in
   let t =
-    Router.create ~shards:1 ~queue_depth:64 ~max_clients:4 ~supervisor:policy
-      ()
+    Router.create ~shards:1 ~queue_depth:64 ~drain_batch:1 ~max_clients:4
+      ~supervisor:policy ()
   in
   let h = Router.register t in
   checkb "prefilled" true (Router.load h 1 1);
-  let waiter = Domain.spawn (fun () -> Router.insert_wait h 7 7) in
-  let rec until_enqueued tries =
-    if (Router.queue_stats t).(0).Mod_queue.enqueued < 1 then
+  let rec until_enqueued n tries =
+    if (Router.queue_stats t).(0).Mod_queue.enqueued < n then
       if tries = 0 then Alcotest.fail "waited write never enqueued"
       else begin
         Unix.sleepf 0.005;
-        until_enqueued (tries - 1)
+        until_enqueued n (tries - 1)
       end
   in
-  until_enqueued 400;
+  let waiter = Domain.spawn (fun () -> Router.insert_wait h 7 7) in
+  until_enqueued 1 400;
+  let queued = Domain.spawn (fun () -> Router.insert_wait h 8 8) in
+  until_enqueued 2 400;
+  Unix.sleepf 0.02 (* both waiters park *);
   Router.crash_updater t 0;
   Router.start t;
-  (match Domain.join waiter with
-  | Error Shard_router.Failed -> ()
-  | Error r ->
-      Alcotest.fail ("unexpected reject " ^ Shard_router.reject_name r)
-  | Ok _ -> Alcotest.fail "aborted write reported applied");
+  List.iter
+    (fun d ->
+      match Domain.join d with
+      | Error Shard_router.Failed -> ()
+      | Error r ->
+          Alcotest.fail ("unexpected reject " ^ Shard_router.reject_name r)
+      | Ok _ -> Alcotest.fail "aborted write reported applied")
+    [ waiter; queued ];
   checkb "shard failed" true ((Router.health t).(0) = Health.Failed);
   (* Late producers get the typed reject even though they race no
      explicit purge anymore — admission is closed for good. *)
@@ -383,6 +394,140 @@ let test_stall_watchdog () =
       Mod_queue.check_stall q;
       checki "empty queue never stalls" (stalls_before + 1)
         (Stats.read Metrics.mod_queue_stalls))
+
+(* --- parked hand-offs: updater on its queue, writer on its completion --- *)
+
+(* Poll [cond] every 5 ms, failing the test after ~2 s. *)
+let wait_for what cond =
+  let rec go tries =
+    if not (cond ()) then
+      if tries = 0 then Alcotest.fail (what ^ " never happened")
+      else begin
+        Unix.sleepf 0.005;
+        go (tries - 1)
+      end
+  in
+  go 400
+
+let test_idle_updater_parks () =
+  (* A polling updater drains its empty queue at least every ~1 ms; a
+     parked one does not drain at all until a write arrives. *)
+  let t = Router.create ~shards:2 ~max_clients:2 () in
+  let created = Router.last_drain_ns t in
+  Router.start t;
+  wait_for "first drain" (fun () ->
+      Array.for_all2 ( <> ) created (Router.last_drain_ns t));
+  Unix.sleepf 0.01 (* let both updaters reach [park] *);
+  let before = Router.last_drain_ns t in
+  Unix.sleepf 0.05;
+  Array.iteri
+    (fun i ns -> checki (Printf.sprintf "shard %d did not drain" i) before.(i) ns)
+    (Router.last_drain_ns t);
+  checkb "drained shutdown" true (Router.shutdown t = Shard_router.Drained)
+
+let test_no_lost_wakeup () =
+  (* Every waited write both parks its client and wakes a parked updater
+     ([drain_batch:1] maximises the park/wake round trips). A lost
+     wake-up hangs a client; a wrong result breaks the ledger. Each
+     client owns the keys congruent to its index, so it knows every
+     result in advance. *)
+  let clients = 4 and writes = 2000 in
+  let t = Router.create ~shards:2 ~drain_batch:1 ~max_clients:clients () in
+  Router.start t;
+  let client i () =
+    let h = Router.register t in
+    let rng = Random.State.make [| i |] in
+    let present = Hashtbl.create 64 in
+    let bad = ref 0 in
+    for _ = 1 to writes do
+      let k = (Random.State.int rng 64 * clients) + i in
+      let was = Hashtbl.mem present k in
+      (* Both operations report whether they changed the set. *)
+      let r, expect =
+        if Random.State.bool rng then begin
+          Hashtbl.replace present k ();
+          (Router.insert_wait h k k, not was)
+        end
+        else begin
+          Hashtbl.remove present k;
+          (Router.delete_wait h k, was)
+        end
+      in
+      match r with
+      | Ok (Shard_router.Applied changed) when changed = expect -> ()
+      | Ok _ | Error _ -> incr bad
+    done;
+    Router.unregister h;
+    (Hashtbl.length present, !bad)
+  in
+  let doms = List.init clients (fun i -> Domain.spawn (client i)) in
+  let results = List.map Domain.join doms in
+  List.iteri
+    (fun i (_, bad) ->
+      checki (Printf.sprintf "client %d: every write Ok, as predicted" i) 0 bad)
+    results;
+  checkb "drained shutdown" true (Router.shutdown t = Shard_router.Drained);
+  checki "size matches the ledger"
+    (List.fold_left (fun acc (n, _) -> acc + n) 0 results)
+    (Router.size t);
+  Router.check t
+
+let test_watchdog_ignores_parked_idle () =
+  (* A parked updater does not drain, so "time since the last drain"
+     would read a 30 ms idle spell as a 30 ms stall the moment two writes
+     land back to back. Staleness starts when the queue fills instead. A
+     2 ms delay on every drain (well under the threshold) keeps the
+     woken updater from emptying the queue between the two writes. *)
+  let t = Router.create ~shards:1 ~max_clients:2 () in
+  let h = Router.register t in
+  Router.start t;
+  Fun.protect
+    ~finally:(fun () ->
+      Mod_queue.set_stall_threshold_ns 0;
+      Repro_fault.Fault.set "server.drain.stall" ~rate:0.0)
+    (fun () ->
+      Mod_queue.set_stall_threshold_ns 10_000_000 (* 10 ms *);
+      Repro_fault.Fault.set "server.drain.stall" ~rate:1.0
+        ~action:(Repro_fault.Fault.Delay_ns 2_000_000);
+      let stalls_before = Stats.read Metrics.mod_queue_stalls in
+      Unix.sleepf 0.03;
+      checkb "first write accepted" true (Router.insert h 1 1 = Ok ());
+      checkb "second write accepted" true (Router.insert h 2 2 = Ok ());
+      checki "no stall reported" stalls_before
+        (Stats.read Metrics.mod_queue_stalls);
+      checkb "shard stays healthy" true
+        ((Router.health t).(0) = Health.Healthy));
+  Router.unregister h;
+  checkb "drained shutdown" true (Router.shutdown t = Shard_router.Drained)
+
+let test_latched_idle_shard_heals () =
+  (* A noted grace-period stall reads as full reclamation pressure for
+     200 ms: the shard latches Degraded, and fire-and-forget writes are
+     shed. Once the window passes with no writes in flight (the updater
+     parked), the next admission observes the fallen pressure, clears
+     the latch and heals the shard before its own health check — so that
+     write is admitted. *)
+  let t = Router.create ~shards:1 ~max_clients:2 () in
+  let h = Router.register t in
+  Router.start t;
+  Stall.set_handler (fun _ -> ());
+  Fun.protect ~finally:Stall.reset_handler (fun () ->
+      Stall.note
+        (Stall.report ~flavour:"test" ~slot:0 ~nesting:1 ~phase:0
+           ~elapsed_ns:0 ~grace_periods:0));
+  checkb "waited write admitted while latching" true
+    (Router.insert_wait h 1 1 = Ok (Shard_router.Applied true));
+  wait_for "pressure latch" (fun () -> (Router.pressure_latched t).(0));
+  checkb "degraded" true ((Router.health t).(0) = Health.Degraded);
+  checkb "fire-and-forget shed while latched" true
+    (Router.insert h 2 2 = Error Shard_router.Overload);
+  Unix.sleepf 0.25;
+  checkb "fire-and-forget admitted after the window" true
+    (Router.insert h 3 3 = Ok ());
+  checkb "latch cleared" false (Router.pressure_latched t).(0);
+  checkb "healed" true ((Router.health t).(0) = Health.Healthy);
+  Router.unregister h;
+  checkb "drained shutdown" true (Router.shutdown t = Shard_router.Drained)
 
 (* --- Health: watermarks, hysteresis, terminal failure --- *)
 
@@ -739,8 +884,12 @@ let test_shutdown_drain_deadline () =
     match Router.insert h k k with Ok () -> incr accepted | Error _ -> ()
   done;
   checkb "writes accepted while recovering" true (!accepted > 0);
-  let waiter = Domain.spawn (fun () -> Router.insert_wait h 30 30) in
-  Unix.sleepf 0.02 (* let the waited write enqueue *);
+  let waiters =
+    List.map
+      (fun k -> Domain.spawn (fun () -> Router.insert_wait h k k))
+      [ 30; 31 ]
+  in
+  Unix.sleepf 0.02 (* let the waited writes enqueue and park *);
   (match Router.shutdown ~deadline_ns:100_000_000 t with
   | Shard_router.Drained -> Alcotest.fail "expected a forced shutdown"
   | Shard_router.Forced [ rep ] ->
@@ -752,13 +901,16 @@ let test_shutdown_drain_deadline () =
   | Shard_router.Forced reps ->
       Alcotest.fail
         (Printf.sprintf "expected one report, got %d" (List.length reps)));
-  (* The purge aborted the waited write's completion: its waiter
-     unblocks with a typed reject rather than spinning forever. *)
-  (match Domain.join waiter with
-  | Error Shard_router.Shutdown -> ()
-  | Error r ->
-      Alcotest.fail ("unexpected reject " ^ Shard_router.reject_name r)
-  | Ok _ -> Alcotest.fail "aborted write reported applied");
+  (* The purge aborted both waited writes' completions: each parked
+     waiter is woken with a typed reject rather than blocking forever. *)
+  List.iter
+    (fun d ->
+      match Domain.join d with
+      | Error Shard_router.Shutdown -> ()
+      | Error r ->
+          Alcotest.fail ("unexpected reject " ^ Shard_router.reject_name r)
+      | Ok _ -> Alcotest.fail "aborted write reported applied")
+    waiters;
   checkb "reads after forced shutdown" true (Router.mem h 1);
   checkb "idempotent" true
     (match Router.shutdown t with
@@ -1123,6 +1275,11 @@ let () =
             test_shutdown_drain_deadline;
           Alcotest.test_case "deadline dead on arrival" `Quick
             test_deadline_dead_on_arrival;
+          Alcotest.test_case "idle updater parks" `Quick
+            test_idle_updater_parks;
+          Alcotest.test_case "no lost wake-up" `Quick test_no_lost_wakeup;
+          Alcotest.test_case "watchdog ignores a parked idle spell" `Quick
+            test_watchdog_ignores_parked_idle;
         ] );
       ( "breaker",
         [
@@ -1149,6 +1306,8 @@ let () =
             test_budget_exhaustion_fails_shard;
           Alcotest.test_case "failed shard unblocks its waiter" `Quick
             test_failed_shard_unblocks_waiter;
+          Alcotest.test_case "latched idle shard heals" `Quick
+            test_latched_idle_shard_heals;
         ] );
       ( "mod-queue",
         [
