@@ -626,155 +626,25 @@ let model scenario_name max_states no_dpor quick json_file =
                  violations)\n"
     (List.length results)
 
-(* Model-checker mutation suite: every seeded protocol bug must produce a
-   replayable counterexample under exhaustive exploration, and every
-   control model must stay silent. *)
-let model_mutants skip_controls =
-  let module Engine = Repro_modelcheck.Engine in
-  let module Models = Repro_modelcheck.Models in
-  Printf.printf "model-checker mutation suite:\n%!";
-  let failed = ref false in
-  List.iter
-    (fun (sc : Engine.scenario) ->
-      let r = Engine.explore ~max_states:3_000_000 sc in
-      match r.counterexample with
-      | Some cx ->
-          Printf.printf "  %-28s caught in %d trace(s):\n%!" sc.name
-            r.stats.traces;
-          Format.printf "%a@." Engine.pp_counterexample cx
-      | None ->
-          failed := true;
-          Printf.printf "  %-28s ESCAPED (%d traces, exhausted=%b)\n%!"
-            sc.name r.stats.traces r.stats.exhausted)
-    Models.mutants;
-  if not skip_controls then
-    List.iter
-      (fun (sc : Engine.scenario) ->
-        let r = Engine.explore ~max_states:3_000_000 sc in
-        match r.counterexample with
-        | None when r.stats.exhausted ->
-            Printf.printf "  %-28s (control) silent, %d trace(s)\n%!" sc.name
-              r.stats.traces
-        | None ->
-            failed := true;
-            Printf.printf "  %-28s (control) BUDGET-EXCEEDED\n%!" sc.name
-        | Some cx ->
-            failed := true;
-            Printf.printf "  %-28s (control) TRIPPED: %s\n%!" sc.name cx.error)
-      Models.controls;
-  if !failed then begin
-    Printf.eprintf
-      "mutants: FAILED — a seeded protocol bug escaped the model checker \
-       or a control model tripped (see above)\n";
-    exit 1
-  end;
-  print_endline
-    "mutants: OK (every seeded protocol bug yields a replayable \
-     counterexample; controls exhaustively clean)";
-  exit 0
-
-(* Mutation suite (ROBUSTNESS.md): each seeded grace-period bug must trip
-   the reclamation sanitizer; the matching clean configurations must not.
-   Any escape or control trip exits 1. *)
-let mutants seed attempts skip_controls lockdep chaos_suite model_suite =
-  let module Mutation = Repro_citrus.Mutation in
-  if model_suite then model_mutants skip_controls;
-  if chaos_suite then begin
-    (* The chaos mutations are deterministic (crashes armed to land at
-       known batch positions, deadlines pre-expired by construction): no
-       seeds or attempt budgets. Each mutant must be caught and its
-       control must stay silent on the identical schedule. *)
-    Printf.printf "chaos mutation suite:\n%!";
-    let failed = ref false in
-    let verdict ~mutant caught =
-      if mutant then
-        if caught then "caught"
-        else begin
-          failed := true;
-          "ESCAPED"
-        end
-      else if caught then begin
-        failed := true;
-        "TRIPPED"
-      end
-      else "silent"
-    in
-    let backlog mutant =
-      let m = Chaos.mutation ~mutate:mutant (module Dict.Citrus_epoch) in
-      Printf.printf
-        "  forget-backlog-on-restart%s: expected %d, final %d, lost %d -> \
-         %s\n\
-         %!"
-        (if mutant then "" else " (control)")
-        m.Chaos.expected m.Chaos.final_size m.Chaos.lost
-        (verdict ~mutant m.Chaos.caught)
-    in
-    let breaker mutant =
-      let m = Chaos.mutation_breaker ~mutate:mutant (module Dict.Citrus_epoch) in
-      Printf.printf
-        "  breaker-never-opens%s: crash=%b tripped=%b rejected=%b -> %s\n%!"
-        (if mutant then "" else " (control)")
-        m.Chaos.crash_seen m.Chaos.tripped m.Chaos.rejected
-        (verdict ~mutant m.Chaos.caught)
-    in
-    let deadline mutant =
-      let m =
-        Chaos.mutation_deadline ~mutate:mutant (module Dict.Citrus_epoch)
-      in
-      Printf.printf
-        "  drain-skips-deadline%s: queued %d, applied %d -> %s\n%!"
-        (if mutant then "" else " (control)")
-        m.Chaos.queued m.Chaos.applied
-        (verdict ~mutant m.Chaos.caught)
-    in
-    backlog true;
-    breaker true;
-    deadline true;
-    if not skip_controls then begin
-      backlog false;
-      breaker false;
-      deadline false
-    end;
-    if !failed then begin
-      Printf.eprintf
-        "mutants: FAILED — a seeded serving-layer bug escaped or a control \
-         tripped (see above)\n";
-      exit 1
-    end;
-    print_endline
-      "mutants: OK (backlog loss, silent breaker, and skipped deadlines all \
-       detected; controls clean)";
-    exit 0
-  end;
-  let results, controls =
-    if lockdep then begin
-      (* The lockdep mutants are control-flow bugs: one single-domain
-         round each, deterministic, no seeds or attempt budgets. *)
-      Printf.printf "lockdep mutation suite:\n%!";
-      ( Mutation.lockdep_all (),
-        if skip_controls then [] else Mutation.lockdep_controls () )
-    end
-    else begin
-      Printf.printf "mutation suite: seed=%d attempts=%d\n%!" seed attempts;
-      ( Mutation.all ~seed ~attempts (),
-        if skip_controls then [] else Mutation.controls ~seed () )
-    end
+(* The seeded-bug registry (ROBUSTNESS.md, "Mutation suite"): one row per
+   entry. Any escaped mutant, tripped control or invalid run exits 1. *)
+let mutants seed =
+  let module Mutants = Repro_mutants.Mutants in
+  Printf.printf "mutants: seed=%d, %d entries\n%!" seed
+    (List.length Mutants.all);
+  let failed =
+    List.filter_map
+      (fun (e : Mutants.entry) ->
+        let v = Mutants.check ~seed e in
+        Printf.printf "  %s\n%!" (Mutants.row v);
+        if Mutants.ok v then None else Some e.name)
+      Mutants.all
   in
-  List.iter (fun r -> Printf.printf "  %s\n%!" (Mutation.pp_result r)) results;
-  List.iter (fun r -> Printf.printf "  %s\n%!" (Mutation.pp_result r)) controls;
-  let escaped = List.filter (fun r -> not r.Mutation.caught) results in
-  let tripped = List.filter (fun r -> r.Mutation.caught) controls in
-  if escaped <> [] then begin
-    Printf.eprintf "mutants: FAILED — seeded bug(s) not detected: %s\n"
-      (String.concat ", " (List.map (fun r -> r.Mutation.mutant) escaped));
+  if failed <> [] then begin
+    Printf.eprintf "mutants: FAILED — %s\n" (String.concat ", " failed);
     exit 1
   end;
-  if tripped <> [] then begin
-    Printf.eprintf "mutants: FAILED — control run(s) raised violations: %s\n"
-      (String.concat ", " (List.map (fun r -> r.Mutation.mutant) tripped));
-    exit 1
-  end;
-  print_endline "mutants: OK (all seeded bugs detected, controls clean)"
+  print_endline "mutants: OK (every seeded bug caught, every control silent)"
 
 let balance_demo keys =
   let module T = Repro_citrus.Citrus_int.Epoch in
@@ -1295,67 +1165,19 @@ let mutants_cmd =
   let seed =
     Arg.(
       value & opt int 42
-      & info [ "seed" ] ~doc:"Base seed (attempt $(i,i) uses seed+$(i,i)).")
-  in
-  let attempts =
-    Arg.(
-      value & opt int 8
-      & info [ "attempts" ]
-          ~doc:"Attempt budget per mutant before declaring it escaped.")
-  in
-  let skip_controls =
-    Arg.(
-      value & flag
-      & info [ "skip-controls" ]
-          ~doc:"Only run the seeded bugs, not the clean control runs.")
-  in
-  let lockdep =
-    Arg.(
-      value & flag
-      & info [ "lockdep" ]
+      & info [ "seed" ]
           ~doc:
-            "Run the lockdep mutation suite instead: seeded \
-             locking-protocol bugs (ABBA delete, synchronize inside a \
-             read section, unbalanced unlock) must each raise a \
-             structured lockdep violation, and clean lockdep-armed \
-             rounds over all flavours must stay silent.")
-  in
-  let chaos_suite =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:
-            "Run the chaos mutation instead: a supervisor that forgets the \
-             crashed updater's pending batch must lose accepted writes and \
-             be caught by the ledger audit, deterministically; the \
-             adopting supervisor must stay silent on the identical crash \
-             schedule.")
-  in
-  let model_suite =
-    Arg.(
-      value & flag
-      & info [ "model" ]
-          ~doc:
-            "Run the model-checker mutation suite instead: each seeded \
-             protocol bug (skipped urcu flip, publish-before-init, stale \
-             reclaimer cookie, ...) must produce a replayable \
-             counterexample under exhaustive DPOR exploration, and every \
-             control model must stay silent.")
+            "Base seed: mutant attempt $(i,i) uses seed+$(i,i), the \
+             control uses the seed itself.")
   in
   Cmd.v
     (Cmd.info "mutants"
        ~doc:
-         "Prove the reclamation sanitizer catches seeded grace-period bugs \
-          (skipped synchronize, single urcu flip, qsbr quiescence inside a \
-          section) and stays quiet on the clean controls; with \
-          $(b,--lockdep), prove the same for the lockdep validator; with \
-          $(b,--chaos), prove the serving layer's crash-recovery audit \
-          catches a backlog-losing supervisor; with $(b,--model), prove \
-          the systematic-interleaving model checker catches seeded \
-          protocol bugs.")
-    Term.(
-      const mutants $ seed $ attempts $ skip_controls $ lockdep $ chaos_suite
-      $ model_suite)
+         "Run the registry of seeded bugs (see ROBUSTNESS.md): each \
+          mutant must be caught by its detector — the reclamation \
+          sanitizer, lockdep, the chaos audit or the model checker — \
+          within its attempt budget, and each control must stay silent.")
+    Term.(const mutants $ seed)
 
 let model_cmd =
   let scenario =
@@ -1364,9 +1186,10 @@ let model_cmd =
       & opt (some string) None
       & info [ "scenario" ] ~docv:"NAME"
           ~doc:
-            "Explore one scenario by name (control or mutant, e.g. \
-             $(b,epoch) or $(b,urcu!single-flip)); default: the \
-             store-buffering litmus and every control model.")
+            "Explore one scenario by name: a control such as $(b,epoch), \
+             or a model-checker entry listed by $(b,mutants), whose \
+             counterexample is printed; default: the store-buffering \
+             litmus and every control model.")
   in
   let max_states =
     Arg.(

@@ -22,9 +22,10 @@
       invariants stay sealed; module-type-only *_intf.ml files are
       exempt (an .mli would duplicate them token for token).
    5. No [Random] and no wall-clock-fed [Rng.create] seeding under
-      lib/server/ or lib/workload/: every run in those layers must be
-      replayable from the config's explicit seed (chaos schedules,
-      mutation verdicts, and latency reports all depend on it).
+      lib/server/, lib/workload/ or lib/mutants/: every run in those
+      layers must be replayable from the config's explicit seed (chaos
+      schedules, mutation verdicts, and latency reports all depend on
+      it).
    6. No get-then-set read-modify-write on the protocol counters
       ([gp_seq], [gp_completed], [gp_started], [scanning], [serving],
       [left_tag], [right_tag]): an [Atomic.set] whose value nests an
@@ -64,7 +65,7 @@ let atomic_write_fns =
   [ "set"; "exchange"; "compare_and_set"; "fetch_and_add"; "incr"; "decr" ]
 
 (* Layers that must replay deterministically from their config seed. *)
-let deterministic_dirs = [ "lib/server/"; "lib/workload/" ]
+let deterministic_dirs = [ "lib/server/"; "lib/workload/"; "lib/mutants/" ]
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in

@@ -22,13 +22,13 @@ let fault_delete_window = Fault.register "citrus.delete.window"
 let fault_read_step = Fault.register "citrus.read.step"
 
 (* Mutation-testing hooks for the lockdep validator (see ROBUSTNESS.md and
-   lib/citrus/mutation.ml): each seeds one locking-protocol bug into the
+   lib/mutants): each seeds one locking-protocol bug into the
    real update paths — an inverted lock order in delete, a grace-period
    wait from inside a read-side critical section, and an unlock of a lock
    the caller never took. A lockdep-armed run must turn each into a
    structured [Lockdep.Violation]; a disarmed ABBA delete would deadlock
    and a disarmed sync-in-read would self-deadlock, so these are only ever
-   set by the single-domain, lockdep-armed mutation hunts. Registered
+   set by the single-domain, lockdep-armed registry rounds. Registered
    outside the functor, like the fault points: one switch per bug shared
    by every instantiation. *)
 let abba_delete_bug = Atomic.make false

@@ -25,13 +25,14 @@ module type ORDERED = sig
   val compare : t -> t -> int
 end
 
-(** Mutation-testing hooks for the lockdep validator (see ROBUSTNESS.md
-    and {!Mutation}): each switch seeds one locking-protocol bug into the
-    real update paths of {e every} [Make] instantiation. A lockdep-armed
-    run must report each as a structured [Repro_lockdep.Lockdep.Violation];
+(** Mutation-testing hooks for the lockdep validator (see ROBUSTNESS.md,
+    "Mutation suite"): each switch seeds one locking-protocol bug into
+    the real update paths of {e every} [Make] instantiation. A
+    lockdep-armed run must report each as a structured
+    [Repro_lockdep.Lockdep.Violation] of the kind documented below;
     disarmed, [abba_delete] and [sync_in_read] genuinely deadlock, so
-    these are only ever set by the single-domain, lockdep-armed mutation
-    hunts. Never set outside the mutation suite. *)
+    only the single-domain, lockdep-armed rounds of the mutation registry
+    ([Repro_mutants.Mutants]) set them. *)
 module Buggy : sig
   val abba_delete : bool -> unit
   (** [delete] takes curr's lock before prev's — the inverted-order half

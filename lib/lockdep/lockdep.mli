@@ -184,5 +184,6 @@ val reset : unit -> unit
 (** Zero the counters, clear the dependency graph, and clear the
     {e calling} domain's held-lock stack and read-side nesting (other
     domains' stacks cannot be reached; reset from a quiescent point).
-    The mutation suite calls this between hunts so a caught violation's
-    abandoned locks do not leak into the next round. *)
+    The mutation registry ([Repro_mutants.Mutants]) calls this around
+    each lockdep round so a caught violation's abandoned locks do not
+    leak into the next round. *)

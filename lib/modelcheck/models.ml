@@ -8,8 +8,9 @@
    Each checked property has seeded mutants — the historical bug the
    protocol exists to rule out, switched on structurally (the model
    skips or reorders the same step the real bug would). The mutants
-   must produce a counterexample while the controls stay silent; the
-   [mutants --model] group of citrus_tool enforces exactly that. *)
+   must produce a counterexample while the controls stay silent; their
+   entries in the mutation registry (lib/mutants) enforce exactly
+   that. *)
 
 module T = Tracedatomic
 module P = Repro_rcu.Protocol

@@ -6,14 +6,16 @@
 
 val sb : Engine.scenario
 (** The store-buffering litmus: the engine's own calibration model, with
-    hand-countable interleavings (6 naive, 3 reduced). *)
+    hand-countable interleavings: 6 naive, and 4 traces under DPOR for
+    its 3 Mazurkiewicz classes. *)
 
 val controls : Engine.scenario list
 (** The correct protocols: exploration must find no violation. *)
 
 val mutants : Engine.scenario list
 (** Seeded historical bugs (names are ["control!mutation"]): exploration
-    must produce a counterexample for every one. *)
+    must produce a counterexample for every one. Each is an entry of the
+    mutation registry ([Repro_mutants.Mutants]). *)
 
 val all : Engine.scenario list
 

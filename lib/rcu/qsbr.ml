@@ -52,7 +52,7 @@ let name = "qsbr"
    that stops announcing quiescence) bites hardest. *)
 let fault_wait = Fault.register "qsbr.wait"
 
-(* Mutation-testing hook (see ROBUSTNESS.md and lib/citrus/mutation.ml):
+(* Mutation-testing hook (see ROBUSTNESS.md and lib/mutants):
    when set, every *nested* read_lock refreshes the slot to the current
    grace-period counter — announcing a quiescent state while still inside
    the critical section, QSBR's cardinal sin. Never set outside the

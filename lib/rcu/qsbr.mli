@@ -46,7 +46,7 @@ module Buggy : sig
       refreshing the slot to the current grace-period counter while the
       thread is still inside its critical section, QSBR's cardinal sin
       (a scan waiting on this reader is released early). Exists solely so
-      the mutation suite ([Repro_citrus.Mutation]) can prove the
+      the mutation registry ([Repro_mutants.Mutants]) can prove the
       reclamation sanitizer detects the resulting premature reclamation.
       Turn off again immediately after the run. *)
 end

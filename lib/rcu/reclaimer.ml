@@ -68,8 +68,8 @@ let gp_stall_ns () = Atomic.get default_gp_stall_ns
 
 (* Test-only seeded mutant: a reclaimer that frees without waiting for the
    retired pointer's grace period — the early-free bug class the whole
-   cookie discipline exists to prevent. Set only by the mutation suite
-   ([Repro_citrus.Mutation], [citrus_tool mutants]); the sanitizer must
+   cookie discipline exists to prevent. Set only by the mutation registry
+   ([Repro_mutants.Mutants]); the sanitizer must
    turn it into a [San.Violation] deterministically. *)
 let early_free_bug = Atomic.make false
 

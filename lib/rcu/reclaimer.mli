@@ -56,11 +56,11 @@ val set_gp_stall_ns : int -> unit
 
 val gp_stall_ns : unit -> int
 
-(** Test-only seeded mutant (mutation suite, [citrus_tool mutants]): a
-    reclaimer that frees retired pointers without waiting for their
-    grace-period cookies — the early-free bug the cookie discipline
-    prevents. The reclamation sanitizer must catch it deterministically;
-    never set outside the mutation hunts. *)
+(** Test-only seeded mutant (the mutation registry,
+    [Repro_mutants.Mutants]): a reclaimer that frees retired pointers
+    without waiting for their grace-period cookies — the early-free bug
+    the cookie discipline prevents. The reclamation sanitizer must catch
+    it; never set outside the registry's hunts. *)
 module Buggy : sig
   val early_free : bool -> unit
 end

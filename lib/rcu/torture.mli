@@ -69,8 +69,8 @@ type outcome = {
   violations : int;
       (** reclamation-sanitizer violations caught ([sanitize] runs only;
           the run stops at the first one). Must be 0 on a correct
-          flavour; the mutation suite requires > 0 on the seeded-buggy
-          ones. *)
+          flavour; the mutation registry ([Repro_mutants.Mutants])
+          requires > 0 on the seeded-buggy ones. *)
   leaks : int;
       (** shadow records still [Deferred] after every writer finished
           and the reclaimer stopped — frees promised but never executed. Audited only on violation-free

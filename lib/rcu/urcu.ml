@@ -54,7 +54,7 @@ let fault_pre_flip = Fault.register "urcu.sync.pre_flip"
    the reclamation sanitizer catches a single-flip urcu. *)
 let fault_read_enter = Fault.register "urcu.read.enter"
 
-(* Mutation-testing hook (see ROBUSTNESS.md and lib/citrus/mutation.ml):
+(* Mutation-testing hook (see ROBUSTNESS.md and lib/mutants):
    when set, [synchronize] performs only ONE phase flip + reader wait
    instead of liburcu's two — the classic broken-urcu bug. Never set
    outside the mutation suite. *)

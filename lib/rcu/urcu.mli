@@ -31,7 +31,7 @@ module Buggy : sig
       wait instead of two — the classic broken-urcu bug a single flip
       cannot distinguish: a reader that loaded the old phase just before
       the flip but published it just after is invisibly missed. Exists
-      solely so the mutation suite ([Repro_citrus.Mutation]) can prove
+      solely so the mutation registry ([Repro_mutants.Mutants]) can prove
       the reclamation sanitizer detects the resulting premature
       reclamation. Turn off again immediately after the run. *)
 end

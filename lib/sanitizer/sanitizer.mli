@@ -27,8 +27,8 @@
     [Fault]. Arm programmatically ({!arm}), per run
     ([citrus_tool torture --sanitize]), or via the environment
     ([REPRO_SANITIZE=1]). See ROBUSTNESS.md for the full design, the
-    mutation suite that proves the checker catches seeded bugs, and the
-    measured overhead. *)
+    mutation suite ([Repro_mutants.Mutants]) that proves the checker
+    catches seeded bugs, and the measured overhead. *)
 
 (** {2 Arming} *)
 

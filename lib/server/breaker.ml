@@ -50,11 +50,19 @@ let default_config =
     probes = 3;
   }
 
+(* Seeded bug for the mutation registry (lib/mutants): tripping becomes a
+   no-op. Read only inside [trip], which runs on the crash and failure
+   branches, never on admission. *)
+let never_open_bug = Atomic.make false
+
+module Buggy = struct
+  let never_open b = Atomic.set never_open_bug b
+end
+
 type t = {
   shard : int;
   cfg : config;
   seed : int64;
-  never_open : bool; (* seeded mutation: [trip] is a no-op *)
   s : int Atomic.t; (* 0 closed, 1 open, 2 half_open *)
   win_start : int Atomic.t;
   win_succ : int Atomic.t;
@@ -67,8 +75,7 @@ type t = {
   probe_succ : int Atomic.t;
 }
 
-let create ?(config = default_config) ?(seed = 42L)
-    ?(mutate_never_open = false) ~shard () =
+let create ?(config = default_config) ?(seed = 42L) ~shard () =
   if config.window_ns <= 0 then
     invalid_arg "Breaker.create: window_ns must be positive";
   if config.min_samples <= 0 then
@@ -83,7 +90,6 @@ let create ?(config = default_config) ?(seed = 42L)
     shard;
     cfg = config;
     seed;
-    never_open = mutate_never_open;
     s = Atomic.make 0;
     win_start = Atomic.make 0;
     win_succ = Atomic.make 0;
@@ -130,7 +136,7 @@ let rotate t ~now_ns =
    [open_until] is published before the state CAS so no admitter can
    observe Open with a stale deadline. *)
 let rec trip t ~now_ns =
-  if not t.never_open then
+  if not (Atomic.get never_open_bug) then
     match Atomic.get t.s with
     | 1 -> ()
     | c ->

@@ -71,16 +71,12 @@ type t
 val create :
   ?config:config ->
   ?seed:int64 ->
-  ?mutate_never_open:bool ->
   shard:int ->
   unit ->
   t
 (** A fresh breaker in [Closed]. [seed] (default 42) drives the open-
     interval jitter — give each shard [logxor run_seed shard_salt] so
     shards decorrelate while the run stays reproducible.
-    [mutate_never_open] is a {e seeded defect} for the chaos audit
-    (citrus_tool mutants --chaos): tripping becomes a no-op, so the
-    breaker never opens and overload feedback is silently lost.
     @raise Invalid_argument on a non-positive window, sample, probe or
       interval parameter, a [failure_pct] outside [1, 100], or
       [open_max_ns < open_base_ns]. *)
@@ -129,3 +125,13 @@ val window : t -> int * int
 val probes_in_flight : t -> int
 (** Probe slots claimed but not yet succeeded in this [Half_open]
     episode. *)
+
+(** {2 Seeded bug — set only by the mutation registry} *)
+
+module Buggy : sig
+  val never_open : bool -> unit
+  (** When on, tripping is a no-op for every breaker: it never opens and
+      overload feedback is silently lost. The chaos audit's
+      [breaker-never-opens] entry ([Repro_mutants.Mutants]) must catch
+      it. Turn off again right after the run. *)
+end

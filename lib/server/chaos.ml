@@ -419,185 +419,3 @@ let json (c : cfg) (r : result) =
       ("ok", Json.Bool (ok r));
       ("failures", Json.List (List.map (fun s -> Json.String s) r.failures));
     ]
-
-(* --- the seeded mutation ---
-
-   The backlog-adoption property deserves its own mutation test: a
-   supervisor that forgets the crashed updater's pending batch
-   ([mutate_forget_backlog]) must be caught deterministically, and the
-   correct supervisor must stay silent under the identical schedule.
-
-   Determinism: the writes are enqueued *before* [start], so the first
-   drain splices a full 64-entry batch, and the armed one-shot crash
-   flag fires at entry 0 of that batch — the pending remainder is the
-   whole batch. The mutant therefore loses exactly the batch; the
-   control adopts and applies it all. *)
-
-type mutation_result = {
-  expected : int;
-  final_size : int;
-  lost : int;
-  caught : bool;
-}
-
-let mutation ?(mutate = true) (dict : (module Repro_dict.Dict.DICT)) =
-  let module D = (val dict) in
-  let module S = Shard_router.Make (D) in
-  let policy =
-    {
-      Supervisor.max_restarts = 4;
-      backoff_base_ns = 100_000;
-      backoff_max_ns = 1_000_000;
-      reset_after_ns = 1_000_000_000;
-    }
-  in
-  let t =
-    S.create ~shards:1 ~queue_depth:256 ~drain_batch:64 ~max_clients:4
-      ~supervisor:policy ~mutate_forget_backlog:mutate ()
-  in
-  let h = S.register t in
-  let n = 100 in
-  for k = 0 to n - 1 do
-    match S.insert h k k with
-    | Ok () -> ()
-    | Error _ -> invalid_arg "Chaos.mutation: enqueue rejected before start"
-  done;
-  S.crash_updater t 0;
-  S.start t;
-  let sd = S.shutdown ~deadline_ns:5_000_000_000 t in
-  let final = S.size t in
-  S.check t;
-  S.unregister h;
-  (match sd with
-  | Shard_router.Drained -> ()
-  | Shard_router.Forced _ ->
-      invalid_arg "Chaos.mutation: shutdown unexpectedly forced");
-  { expected = n; final_size = final; lost = n - final; caught = final <> n }
-
-(* --- breaker mutation ---
-
-   An updater crash must open the shard's circuit breaker (the
-   [Supervisor.on_crash] hook), and an open breaker must reject the next
-   write. [mutate_breaker_never_opens] turns trips into no-ops; the
-   mutant is caught when either half of that chain is missing.
-
-   Determinism: a single shard, a single armed crash consumed by a
-   single write, and an open interval configured long enough (>= 1 s
-   after jitter) that the post-trip write always lands inside it. The
-   control trips at crash time and rejects; the mutant never trips, the
-   trip poll times out, and the write is admitted. *)
-
-type breaker_mutation_result = {
-  crash_seen : bool;  (** the armed updater crash fired *)
-  tripped : bool;  (** the breaker recorded an Open transition *)
-  rejected : bool;  (** the post-crash write got [Breaker_open] *)
-  caught : bool;  (** the crash-to-breaker feedback chain is broken *)
-}
-
-let mutation_breaker ?(mutate = true) (dict : (module Repro_dict.Dict.DICT)) =
-  let module D = (val dict) in
-  let module S = Shard_router.Make (D) in
-  let policy =
-    {
-      Supervisor.max_restarts = 4;
-      backoff_base_ns = 100_000;
-      backoff_max_ns = 1_000_000;
-      reset_after_ns = 1_000_000_000;
-    }
-  in
-  (* Open long enough that jitter (>= 0.5x nominal) keeps the breaker
-     open across the post-trip write, however slowly the test host
-     schedules the intervening domains. *)
-  let breaker =
-    {
-      Breaker.default_config with
-      Breaker.open_base_ns = 2_000_000_000;
-      open_max_ns = 4_000_000_000;
-    }
-  in
-  let t =
-    S.create ~shards:1 ~queue_depth:256 ~drain_batch:64 ~max_clients:4
-      ~supervisor:policy ~breaker ~mutate_breaker_never_opens:mutate ()
-  in
-  let h = S.register t in
-  S.start t;
-  S.crash_updater t 0;
-  (* One write to consume the armed crash flag at its application. *)
-  (match S.insert h 0 0 with
-  | Ok () -> ()
-  | Error _ -> invalid_arg "Chaos.mutation_breaker: trigger write rejected");
-  let poll deadline_s cond =
-    let deadline = now_ns () + int_of_float (deadline_s *. 1e9) in
-    let rec go () =
-      if cond () then true
-      else if now_ns () >= deadline then false
-      else begin
-        Unix.sleepf 0.001;
-        go ()
-      end
-    in
-    go ()
-  in
-  let crash_seen = poll 2.0 (fun () -> (S.crashes t).(0) >= 1) in
-  (* The control trips synchronously inside the crash handler, so this
-     poll is only ever slow for the mutant (which times out). *)
-  let tripped = poll 0.5 (fun () -> S.breaker_trips t > 0) in
-  let rejected =
-    match S.insert h 1 1 with
-    | Error Shard_router.Breaker_open -> true
-    | _ -> false
-  in
-  (match S.shutdown ~deadline_ns:5_000_000_000 t with
-  | Shard_router.Drained -> ()
-  | Shard_router.Forced _ ->
-      invalid_arg "Chaos.mutation_breaker: shutdown unexpectedly forced");
-  S.check t;
-  S.unregister h;
-  { crash_seen; tripped; rejected; caught = not (tripped && rejected) }
-
-(* --- deadline mutation ---
-
-   The updater's drain must expire queued entries whose deadline has
-   passed instead of applying them. [mutate_skip_deadline] removes the
-   drain-side check; the mutant is caught when already-dead work still
-   reaches the tree.
-
-   Determinism: the writes are enqueued *before* [start] with a deadline
-   comfortably in the future (so dead-on-arrival admission cannot expire
-   them), then the harness sleeps past that deadline before starting the
-   updater. Every queued entry is therefore expired by the time the
-   first drain runs: the control applies none, the mutant applies all. *)
-
-type deadline_mutation_result = {
-  queued : int;  (** writes accepted into the queue before [start] *)
-  applied : int;  (** keys in the tree after shutdown *)
-  caught : bool;  (** expired work reached the tree *)
-}
-
-let mutation_deadline ?(mutate = true) (dict : (module Repro_dict.Dict.DICT)) =
-  let module D = (val dict) in
-  let module S = Shard_router.Make (D) in
-  let t =
-    S.create ~shards:1 ~queue_depth:256 ~drain_batch:64 ~max_clients:4
-      ~mutate_skip_deadline:mutate ()
-  in
-  let h = S.register t in
-  let n = 50 in
-  let deadline_ns = now_ns () + 20_000_000 in
-  for k = 0 to n - 1 do
-    match S.insert h ~deadline_ns k k with
-    | Ok () -> ()
-    | Error _ ->
-        invalid_arg "Chaos.mutation_deadline: enqueue rejected before start"
-  done;
-  (* Sleep past every queued deadline, then let the updater drain. *)
-  Unix.sleepf 0.06;
-  S.start t;
-  (match S.shutdown ~deadline_ns:5_000_000_000 t with
-  | Shard_router.Drained -> ()
-  | Shard_router.Forced _ ->
-      invalid_arg "Chaos.mutation_deadline: shutdown unexpectedly forced");
-  let applied = S.size t in
-  S.check t;
-  S.unregister h;
-  { queued = n; applied; caught = applied > 0 }

@@ -31,14 +31,9 @@
     ledger (chaos writes carry no deadline, so accepted still implies
     applied).
 
-    {!mutation}, {!mutation_breaker} and {!mutation_deadline} are the
-    seeded-bug half: a supervisor that forgets the crashed updater's
-    pending batch ([mutate_forget_backlog]), a breaker whose trips are
-    no-ops ([mutate_breaker_never_opens]) and a drain that applies
-    expired entries ([mutate_skip_deadline]) must each be caught
-    deterministically while the correct implementation stays silent on
-    the identical schedule — the same discipline as the sanitizer and
-    lockdep mutation suites (ROBUSTNESS.md). *)
+    The seeded-bug half — a lost backlog, a breaker that never opens, a
+    drain that applies expired entries — is the chaos audit's part of
+    the mutation registry ([Repro_mutants.Mutants]). *)
 
 type cfg = {
   shards : int;
@@ -116,63 +111,3 @@ val run : (module Repro_dict.Dict.DICT) -> cfg -> result
 val json : cfg -> result -> Repro_obs.Json.t
 (** Machine-readable run summary (configuration, accounting, crash and
     recovery numbers, [ok]/[failures]) for [citrus_tool chaos --json]. *)
-
-(** {2 The seeded backlog-loss mutation} *)
-
-type mutation_result = {
-  expected : int;  (** writes accepted before the crash *)
-  final_size : int;  (** keys actually in the tree after shutdown *)
-  lost : int;  (** [expected - final_size] *)
-  caught : bool;  (** the audit detected the loss *)
-}
-
-val mutation : ?mutate:bool -> (module Repro_dict.Dict.DICT) -> mutation_result
-(** Deterministic single-shard scenario: 100 inserts enqueued before
-    [start], a one-shot crash armed to fire at entry 0 of the first
-    64-entry batch, drain on shutdown. With [mutate:true] (the seeded
-    bug: the supervisor drops the pending batch on restart) the batch is
-    lost and [caught] is true — deterministically, because the crash
-    always lands with the full batch unapplied. With [mutate:false] the
-    control must stay silent ([caught = false], nothing lost).
-    @raise Invalid_argument if the scenario itself misbehaves (enqueue
-      rejected, shutdown forced). *)
-
-(** {2 The seeded breaker mutation} *)
-
-type breaker_mutation_result = {
-  crash_seen : bool;  (** the armed updater crash fired *)
-  tripped : bool;  (** the breaker recorded an Open transition *)
-  rejected : bool;  (** the post-crash write got [Breaker_open] *)
-  caught : bool;  (** the crash-to-breaker feedback chain is broken *)
-}
-
-val mutation_breaker :
-  ?mutate:bool -> (module Repro_dict.Dict.DICT) -> breaker_mutation_result
-(** Deterministic single-shard scenario: one armed crash consumed by one
-    write, then a second write while the breaker should be open (the
-    open interval is configured at 2 s nominal, so jitter keeps it
-    >= 1 s — far wider than the write). The control trips at crash time
-    via the supervisor's [on_crash] hook and rejects the second write
-    with [Breaker_open] ([caught = false]); with [mutate:true]
-    ([mutate_breaker_never_opens]) the trip is a no-op, the write is
-    admitted, and [caught] is true.
-    @raise Invalid_argument if the scenario itself misbehaves. *)
-
-(** {2 The seeded deadline mutation} *)
-
-type deadline_mutation_result = {
-  queued : int;  (** writes accepted into the queue before [start] *)
-  applied : int;  (** keys in the tree after shutdown *)
-  caught : bool;  (** expired work reached the tree *)
-}
-
-val mutation_deadline :
-  ?mutate:bool -> (module Repro_dict.Dict.DICT) -> deadline_mutation_result
-(** Deterministic single-shard scenario: 50 inserts enqueued before
-    [start] with a 20 ms deadline (live at admission, so the
-    dead-on-arrival check passes), a 60 ms sleep, then [start] and
-    drain. Every entry is expired by the time the first drain runs: the
-    control applies none ([applied = 0], [caught = false]); with
-    [mutate:true] ([mutate_skip_deadline]) the drain applies all 50 and
-    [caught] is true.
-    @raise Invalid_argument if the scenario itself misbehaves. *)

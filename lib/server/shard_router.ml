@@ -63,6 +63,20 @@ type shutdown_result = Drained | Forced of drain_report list
 
 let fp_crash = Fault.register "server.updater.crash"
 
+(* Seeded bugs for the chaos audit's entries in the mutation registry
+   (lib/mutants), shared by every instantiation: a new updater
+   incarnation that forgets its crashed predecessor's pending batch, and
+   a drain that applies expired entries. Each is read only where it
+   bites — once per incarnation, and behind the expiry test — so an
+   unexpired write pays nothing. *)
+let forget_backlog_bug = Atomic.make false
+let skip_deadline_bug = Atomic.make false
+
+module Buggy = struct
+  let forget_backlog b = Atomic.set forget_backlog_bug b
+  let skip_deadline b = Atomic.set skip_deadline_bug b
+end
+
 module Make (D : Repro_dict.Dict.DICT) = struct
   type shard = {
     table : D.t;
@@ -88,8 +102,6 @@ module Make (D : Repro_dict.Dict.DICT) = struct
     drain_batch : int;
     policy : Supervisor.policy;
     seed : int64;
-    mutate_forget_backlog : bool;
-    mutate_skip_deadline : bool;
     stop : bool Atomic.t;
     abandon : bool Atomic.t; (* forced shutdown: exit without draining *)
     mutable supervisors : Supervisor.t array; (* [||] until start *)
@@ -107,9 +119,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
   let create ?(shards = 4) ?(queue_depth = 1024) ?(drain_batch = 64)
       ?(max_clients = 64) ?(supervisor = Supervisor.default_policy)
       ?high_frac ?low_frac ?pressure_high ?pressure_low ?breaker
-      ?(seed = 42L) ?(mutate_forget_backlog = false)
-      ?(mutate_breaker_never_opens = false) ?(mutate_skip_deadline = false)
-      () =
+      ?(seed = 42L) () =
     if shards <= 0 then
       invalid_arg "Shard_router.create: shards must be positive";
     if drain_batch <= 0 then
@@ -129,7 +139,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
                   ?pressure_low ~shard:i ~capacity:queue_depth ();
               breaker =
                 Breaker.create ?config:breaker ~seed:(shard_seed seed i)
-                  ~mutate_never_open:mutate_breaker_never_opens ~shard:i ();
+                  ~shard:i ();
               crash_flag = Atomic.make false;
               pending = Atomic.make [||];
               pending_at = Atomic.make 0;
@@ -138,8 +148,6 @@ module Make (D : Repro_dict.Dict.DICT) = struct
       drain_batch;
       policy = supervisor;
       seed;
-      mutate_forget_backlog;
-      mutate_skip_deadline;
       stop = Atomic.make false;
       abandon = Atomic.make false;
       supervisors = [||];
@@ -165,8 +173,9 @@ module Make (D : Repro_dict.Dict.DICT) = struct
      [crash_updater] request armed while the shard idles fires on the
      first entry of the next batch — always mid-adoption-window, with
      the full remainder in [pending] — which is what makes the chaos
-     mutation deterministic. The named fault point covers the
-     probabilistic path (REPRO_FAULTS=server.updater.crash=RATE:raise). *)
+     audit's forget-backlog scenario deterministic. The named fault
+     point covers the probabilistic path
+     (REPRO_FAULTS=server.updater.crash=RATE:raise). *)
   let maybe_crash shard =
     if
       Atomic.get shard.crash_flag
@@ -243,7 +252,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
       let now = Metrics.now_ns () in
       if
         e.deadline_ns > 0 && now > e.deadline_ns
-        && not t.mutate_skip_deadline
+        && not (Atomic.get skip_deadline_bug)
       then begin
         (* Expired in the queue: complete as [Expired] without applying.
            The client (if waiting) unblocks with the honest verdict, and
@@ -293,6 +302,10 @@ module Make (D : Repro_dict.Dict.DICT) = struct
       Atomic.set shard.pending_at 0
     in
     let run () =
+      if Atomic.get forget_backlog_bug then begin
+        Atomic.set shard.pending [||];
+        Atomic.set shard.pending_at 0
+      end;
       (* A non-empty [pending] here is a crashed predecessor's adopted
          batch: every remaining entry resolves [Replayed]. *)
       apply_pending ~replayed:true;
@@ -385,13 +398,6 @@ module Make (D : Repro_dict.Dict.DICT) = struct
                    schedule, not swamped the instant it adopts the
                    backlog. *)
                 Breaker.on_crash s.breaker ~now_ns:(Metrics.now_ns ()))
-              ?forget_backlog:
-                (if t.mutate_forget_backlog then
-                   Some
-                     (fun () ->
-                       Atomic.set s.pending [||];
-                       Atomic.set s.pending_at 0)
-                 else None)
               ~shard:i
               ~abort:(fun () -> Atomic.get t.abandon)
               ~on_failed:(fun _ ->

@@ -83,6 +83,22 @@ type shutdown_result =
       (** the deadline expired; one report per shard that lost writes or
           had to be abandoned *)
 
+(** {2 Seeded bugs — set only by the mutation registry}
+
+    Each switch covers every instantiation of {!Make}, and the chaos
+    audit's entries in [Repro_mutants.Mutants] must catch each. Turn a
+    switch off again right after the run. *)
+module Buggy : sig
+  val forget_backlog : bool -> unit
+  (** A new updater incarnation drops its crashed predecessor's pending
+      batch instead of adopting it, losing accepted writes
+      ([forget-backlog-on-restart]). *)
+
+  val skip_deadline : bool -> unit
+  (** The drain applies expired entries instead of resolving them
+      [Expired] ([drain-skips-deadline]). *)
+end
+
 module Make (D : Repro_dict.Dict.DICT) : sig
   type t
   type handle
@@ -99,9 +115,6 @@ module Make (D : Repro_dict.Dict.DICT) : sig
     ?pressure_low:float ->
     ?breaker:Breaker.config ->
     ?seed:int64 ->
-    ?mutate_forget_backlog:bool ->
-    ?mutate_breaker_never_opens:bool ->
-    ?mutate_skip_deadline:bool ->
     unit ->
     t
   (** Defaults: 4 shards, queue depth 1024, drain batch 64, 64 clients,
@@ -114,11 +127,7 @@ module Make (D : Repro_dict.Dict.DICT) : sig
       derives every shard's deterministic jitter streams (breaker open
       intervals, supervisor restart backoff) via per-shard golden-ratio
       salts, so a run is reproducible end to end while shards stay
-      decorrelated. [mutate_forget_backlog] (supervisor drops the
-      pending batch on restart), [mutate_breaker_never_opens] (breaker
-      trips become no-ops) and [mutate_skip_deadline] (the drain applies
-      expired entries anyway) seed the chaos mutations — for the
-      mutation harness only, see {!Chaos}. No domains are spawned;
+      decorrelated. No domains are spawned;
       writes enqueued before {!start} sit in the queues.
       @raise Invalid_argument on non-positive parameters. *)
 

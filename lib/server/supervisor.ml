@@ -60,7 +60,6 @@ type t = {
   abort : unit -> bool;
   on_failed : exn -> unit;
   on_crash : (exn -> unit) option; (* fires on every crash, before backoff *)
-  forget_backlog : (unit -> unit) option; (* seeded chaos mutation *)
   jitter : Rng.t option; (* chain-private: only incarnations draw from it *)
   done_ : bool Atomic.t;
   failed_ : bool Atomic.t;
@@ -141,7 +140,6 @@ let rec incarnation t ~adopted_at () =
         sleep_backoff t backoff;
         if t.abort () then Atomic.set t.done_ true
         else begin
-          (match t.forget_backlog with Some f -> f () | None -> ());
           Atomic.incr t.restarts;
           if Metrics.enabled () then
             Stats.incr Metrics.updater_restarts (Metrics.slot ());
@@ -171,8 +169,8 @@ and spawn_next t ~adopted_at =
   Atomic.set t.latest (Some d);
   Atomic.set ready true
 
-let start ?(policy = default_policy) ?jitter_seed ?on_crash ?forget_backlog
-    ~shard ~abort ~on_failed run =
+let start ?(policy = default_policy) ?jitter_seed ?on_crash ~shard ~abort
+    ~on_failed run =
   if policy.max_restarts < 0 then
     invalid_arg "Supervisor.start: max_restarts must be >= 0";
   if policy.backoff_base_ns <= 0 || policy.backoff_max_ns < policy.backoff_base_ns
@@ -185,7 +183,6 @@ let start ?(policy = default_policy) ?jitter_seed ?on_crash ?forget_backlog
       abort;
       on_failed;
       on_crash;
-      forget_backlog;
       jitter = Option.map Rng.create jitter_seed;
       done_ = Atomic.make false;
       failed_ = Atomic.make false;

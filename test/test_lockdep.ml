@@ -11,7 +11,6 @@ module Metrics = Repro_sync.Metrics
 module Trace = Repro_sync.Trace
 module Torture = Repro_rcu.Torture
 module Epoch = Repro_rcu.Epoch_rcu
-module Mutation = Repro_citrus.Mutation
 module Tree = Repro_citrus.Citrus_int.Epoch
 
 let checkb = Alcotest.check Alcotest.bool
@@ -211,18 +210,6 @@ let test_torture_lockdep_clean () =
       checki (f ^ ": lockdep silent") 0 out.Torture.lockdep_violations)
     Torture.flavours
 
-(* --- mutation proof --- *)
-
-let test_lockdep_mutants_caught () =
-  List.iter
-    (fun r -> checkb (r.Mutation.mutant ^ " caught") true r.Mutation.caught)
-    (Mutation.lockdep_all ())
-
-let test_lockdep_controls_silent () =
-  List.iter
-    (fun r -> checki (r.Mutation.mutant ^ " silent") 0 r.Mutation.violations)
-    (Mutation.lockdep_controls ())
-
 (* --- observability surfacing --- *)
 
 let test_metrics_rows () =
@@ -284,13 +271,6 @@ let () =
             test_clean_citrus_silent;
           Alcotest.test_case "lockdep-armed torture silent" `Slow
             test_torture_lockdep_clean;
-        ] );
-      ( "mutants",
-        [
-          Alcotest.test_case "all three caught" `Quick
-            test_lockdep_mutants_caught;
-          Alcotest.test_case "controls silent" `Quick
-            test_lockdep_controls_silent;
         ] );
       ( "observability",
         [

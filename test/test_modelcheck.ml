@@ -88,25 +88,16 @@ let test_budget () =
   let r = Engine.explore ~max_states:2 ~dpor:false Models.sb in
   check Alcotest.bool "budget stops exploration" false r.stats.exhausted
 
-(* --- every control is exhaustively clean, every mutant is caught --- *)
-
-let explore_quick sc = Engine.explore ~max_states:3_000_000 sc
+(* --- every control is exhaustively clean (the seeded bugs are the
+   registry's: test_mutants) --- *)
 
 let test_controls () =
   List.iter
     (fun (sc : Engine.scenario) ->
-      let r = explore_quick sc in
+      let r = Engine.explore ~max_states:3_000_000 sc in
       check Alcotest.bool (sc.name ^ " exhausted") true r.stats.exhausted;
       check Alcotest.bool (sc.name ^ " clean") true (r.counterexample = None))
     Models.controls
-
-let test_mutants () =
-  List.iter
-    (fun (sc : Engine.scenario) ->
-      let r = explore_quick sc in
-      check Alcotest.bool (sc.name ^ " caught") true
-        (r.counterexample <> None))
-    Models.mutants
 
 (* --- dpor agrees with naive DFS on a harder model --- *)
 
@@ -148,6 +139,5 @@ let () =
       ( "models",
         [
           Alcotest.test_case "controls clean" `Quick test_controls;
-          Alcotest.test_case "mutants caught" `Quick test_mutants;
         ] );
     ]

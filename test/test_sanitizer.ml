@@ -6,7 +6,6 @@
 module San = Repro_sanitizer.Sanitizer
 module Fault = Repro_fault.Fault
 module Torture = Repro_rcu.Torture
-module Mutation = Repro_citrus.Mutation
 module Stall = Repro_rcu.Stall
 
 let checki = Alcotest.(check int)
@@ -225,30 +224,6 @@ module Urcu_tests = FlavourTests (Repro_rcu.Urcu)
 module Qsbr_tests = FlavourTests (Repro_rcu.Qsbr)
 
 (* ------------------------------------------------------------------ *)
-(* Mutation suite: every seeded grace-period bug must be caught, the
-   clean controls must stay silent. *)
-
-let test_mutants_caught () =
-  let results = Mutation.all ~seed:11 ~attempts:12 () in
-  List.iter
-    (fun r ->
-      checkb (r.Mutation.mutant ^ " caught") true r.Mutation.caught;
-      checkb
-        (r.Mutation.mutant ^ " produced violations")
-        true
-        (r.Mutation.violations > 0))
-    results;
-  checki "four mutants" 4 (List.length results);
-  San.reset_violations ()
-
-let test_controls_clean () =
-  let results = Mutation.controls ~seed:11 () in
-  List.iter
-    (fun r -> checki (r.Mutation.mutant ^ " silent") 0 r.Mutation.violations)
-    results;
-  San.reset_violations ()
-
-(* ------------------------------------------------------------------ *)
 (* Read-side exception safety: a raise out of a Citrus read-side
    critical section must release the read lock. If it leaked, the
    two-child delete below would stall its grace period forever — the
@@ -428,11 +403,6 @@ let () =
       ("epoch-rcu", Epoch_tests.tests);
       ("urcu", Urcu_tests.tests);
       ("qsbr", Qsbr_tests.tests);
-      ( "mutation-suite",
-        [
-          Alcotest.test_case "all mutants caught" `Slow test_mutants_caught;
-          Alcotest.test_case "controls clean" `Slow test_controls_clean;
-        ] );
       ( "exception-safety",
         [
           Alcotest.test_case "raising compare releases the read lock" `Quick

@@ -658,15 +658,19 @@ let test_breaker_jitter_deterministic () =
     (trip_interval 1L <> trip_interval 2L)
 
 let test_breaker_never_open_mutant () =
-  let b = Breaker.create ~config:breaker_cfg ~mutate_never_open:true ~shard:0 () in
-  Breaker.on_crash b ~now_ns:0;
-  for _ = 1 to 10 do
-    Breaker.on_failure b ~now_ns:0 ~probe:false
-  done;
-  checkb "mutant never opens" true (Breaker.state b = Breaker.Closed);
-  checki "no trips" 0 (Breaker.trips b);
-  checkb "mutant admits everything" true
-    (Breaker.admit b ~now_ns:0 = Breaker.Admit)
+  Breaker.Buggy.never_open true;
+  Fun.protect
+    ~finally:(fun () -> Breaker.Buggy.never_open false)
+    (fun () ->
+      let b = Breaker.create ~config:breaker_cfg ~shard:0 () in
+      Breaker.on_crash b ~now_ns:0;
+      for _ = 1 to 10 do
+        Breaker.on_failure b ~now_ns:0 ~probe:false
+      done;
+      checkb "mutant never opens" true (Breaker.state b = Breaker.Closed);
+      checki "no trips" 0 (Breaker.trips b);
+      checkb "mutant admits everything" true
+        (Breaker.admit b ~now_ns:0 = Breaker.Admit))
 
 let test_breaker_config_validation () =
   let bad cfg =
@@ -1107,44 +1111,60 @@ let test_open_loop_expired_accounting () =
   checki "expired is terminal: no retries" 0 r.Open_loop.retries;
   checki "expired is not dropped" 0 r.Open_loop.dropped
 
-(* --- chaos: the seeded backlog-loss mutation --- *)
+(* --- chaos: the seeded backlog, breaker and deadline mutations ---
+
+   Each half of the registry's three chaos-audit entries on its own,
+   pinned to the evidence the scenario reports. *)
+
+module Mutants = Repro_mutants.Mutants
+
+let chaos_run name ~mutate =
+  let e = List.find (fun (e : Mutants.entry) -> e.name = name) Mutants.all in
+  e.run ~mutate ~seed:0
+
+let outcome =
+  Alcotest.testable
+    (fun ppf o ->
+      Format.pp_print_string ppf
+        (match o with
+        | Mutants.Detected s -> "detected: " ^ s
+        | Undetected s -> "silent: " ^ s
+        | Invalid s -> "invalid: " ^ s))
+    ( = )
 
 let test_chaos_mutation_caught () =
-  let m = Chaos.mutation ~mutate:true (module Dict.Citrus_epoch) in
-  checkb "mutant caught" true m.Chaos.caught;
-  checkb "the forgotten batch is visible as loss" true (m.Chaos.lost > 0)
+  match chaos_run "forget-backlog-on-restart" ~mutate:true with
+  | Mutants.Detected _ -> ()
+  | o ->
+      Alcotest.failf "the forgotten batch is not visible as loss (%a)"
+        (Alcotest.pp outcome) o
 
 let test_chaos_control_silent () =
-  let m = Chaos.mutation ~mutate:false (module Dict.Citrus_epoch) in
-  checkb "control silent" false m.Chaos.caught;
-  checki "nothing lost" 0 m.Chaos.lost;
-  checki "every write applied" m.Chaos.expected m.Chaos.final_size
-
-(* --- chaos: the seeded breaker and deadline mutations --- *)
+  Alcotest.check outcome "nothing lost, every write applied"
+    (Mutants.Undetected "expected 100, final 100, lost 0")
+    (chaos_run "forget-backlog-on-restart" ~mutate:false)
 
 let test_chaos_breaker_mutation_caught () =
-  let m = Chaos.mutation_breaker ~mutate:true (module Dict.Citrus_epoch) in
-  checkb "crash fired" true m.Chaos.crash_seen;
-  checkb "mutant never tripped" false m.Chaos.tripped;
-  checkb "mutant admitted the post-crash write" false m.Chaos.rejected;
-  checkb "mutant caught" true m.Chaos.caught
+  Alcotest.check outcome
+    "crash fired; never tripped, admitted the post-crash write"
+    (Mutants.Detected "tripped false, rejected false")
+    (chaos_run "breaker-never-opens" ~mutate:true)
 
 let test_chaos_breaker_control_silent () =
-  let m = Chaos.mutation_breaker ~mutate:false (module Dict.Citrus_epoch) in
-  checkb "crash fired" true m.Chaos.crash_seen;
-  checkb "control tripped at crash" true m.Chaos.tripped;
-  checkb "control rejected the post-crash write" true m.Chaos.rejected;
-  checkb "control silent" false m.Chaos.caught
+  Alcotest.check outcome
+    "crash fired; tripped at crash, rejected the post-crash write"
+    (Mutants.Undetected "tripped true, rejected true")
+    (chaos_run "breaker-never-opens" ~mutate:false)
 
 let test_chaos_deadline_mutation_caught () =
-  let m = Chaos.mutation_deadline ~mutate:true (module Dict.Citrus_epoch) in
-  checkb "mutant caught" true m.Chaos.caught;
-  checki "every expired write applied anyway" m.Chaos.queued m.Chaos.applied
+  Alcotest.check outcome "every expired write applied anyway"
+    (Mutants.Detected "queued 50, applied 50")
+    (chaos_run "drain-skips-deadline" ~mutate:true)
 
 let test_chaos_deadline_control_silent () =
-  let m = Chaos.mutation_deadline ~mutate:false (module Dict.Citrus_epoch) in
-  checkb "control silent" false m.Chaos.caught;
-  checki "no expired write applied" 0 m.Chaos.applied
+  Alcotest.check outcome "no expired write applied"
+    (Mutants.Undetected "queued 50, applied 0")
+    (chaos_run "drain-skips-deadline" ~mutate:false)
 
 (* --- chaos: quick end-to-end run with both validators armed --- *)
 
