@@ -314,9 +314,9 @@ let serve name shards clients queue_depth drain_batch rate duration keys
   Array.iteri
     (fun i (q : Repro_server.Mod_queue.stats) ->
       Printf.printf
-        "  shard %d: enqueued %d, drained %d, dropped %d, purged %d, \
-         high-water %d/%d, health %s\n"
-        i q.enqueued q.drained q.dropped q.purged q.max_depth q.depth
+        "  shard %d: enqueued %d, drained %d, direct %d, dropped %d, \
+         purged %d, high-water %d/%d, health %s\n"
+        i q.enqueued q.drained q.direct q.dropped q.purged q.max_depth q.depth
         (Health.state_name r.Serve.health.(i)))
     r.Serve.queues;
   (match r.Serve.shutdown with
@@ -844,9 +844,11 @@ let serve_cmd =
       & opt (enum [ ("wait", Serve.Wait); ("async", Serve.Async) ]) Serve.Wait
       & info [ "write-mode" ]
           ~doc:
-            "$(b,wait): each write spins on a completion cell until its \
-             shard's updater applies it (latency includes queueing delay); \
-             $(b,async): fire-and-forget, complete on enqueue.")
+            "$(b,wait): each write returns its result — applied by the \
+             writer itself when its shard's updater is idle, else parked \
+             on a completion cell until the updater applies it (latency \
+             includes queueing delay); $(b,async): fire-and-forget, \
+             complete on enqueue.")
   in
   let max_retries =
     Arg.(
@@ -899,7 +901,8 @@ let serve_cmd =
        ~doc:
          "Run the sharded key-value service under open-loop load: direct \
           RCU reads, writes through per-shard modification queues drained \
-          by updater domains (see SERVING.md).")
+          by updater domains, or applied by a waited writer whose shard is \
+          idle (see SERVING.md).")
     Term.(
       const serve $ structure $ shards $ clients $ queue_depth $ drain_batch
       $ rate $ duration $ keys $ contains $ write_mode $ max_retries

@@ -8,7 +8,8 @@
    the vulnerable windows far enough for a one-core scheduler to hit them
    within a few attempts, and each attempt takes a derived seed, so a
    whole hunt replays from its base seed. The lockdep, chaos and model
-   entries are deterministic: one attempt decides them. *)
+   entries are deterministic, or (direct-jumps-queue) repeat their race
+   within the run: one attempt decides them. *)
 
 module Fault = Repro_fault.Fault
 module San = Repro_sanitizer.Sanitizer
@@ -20,6 +21,7 @@ module Metrics = Repro_sync.Metrics
 module Citrus_int = Repro_citrus.Citrus_int
 module Router = Repro_server.Shard_router
 module Breaker = Repro_server.Breaker
+module Mod_queue = Repro_server.Mod_queue
 module Engine = Repro_modelcheck.Engine
 module Models = Repro_modelcheck.Models
 
@@ -499,6 +501,38 @@ let drain_skips_deadline () =
   else if applied = n then Detected ev
   else scenario "%s: expected all or none" ev
 
+(* Per-key order across the two write branches. One client works on
+   fresh keys: for each, after a pause that lets the updater park, a
+   fire-and-forget insert and at once a waited delete. The insert wakes
+   the updater, and the delete's claim lands before the woken updater
+   takes the tree back. The control's claim sees the queued insert and
+   queues the delete behind it; the mutant's claim ignores it and deletes
+   first, so the delete answers false and the insert lands after it. Each
+   key's last accepted write is its delete, so the final tree must be
+   empty. *)
+let direct_jumps_queue () =
+  let t = router () in
+  let h = Chaos_router.register t in
+  Chaos_router.start t;
+  let n = 100 in
+  let missed = ref 0 in
+  for k = 0 to n - 1 do
+    Unix.sleepf 0.001;
+    enqueue h k;
+    match Chaos_router.delete_wait h k with
+    | Ok w -> if not (Router.write_result_value w) then incr missed
+    | Error _ -> scenario "waited delete %d rejected" k
+  done;
+  shut_down t;
+  let final = Chaos_router.size t in
+  Chaos_router.check t;
+  Chaos_router.unregister h;
+  let ev =
+    Printf.sprintf "%d keys, %d deletes missed their insert, final size %d" n
+      !missed final
+  in
+  if !missed = 0 && final = 0 then Undetected ev else Detected ev
+
 let chaos_entry ~name ~bug ~switch f =
   {
     name;
@@ -520,6 +554,9 @@ let chaos_entries =
     chaos_entry ~name:"drain-skips-deadline"
       ~bug:"the updater's drain applies expired entries"
       ~switch:Router.Buggy.skip_deadline drain_skips_deadline;
+    chaos_entry ~name:"direct-jumps-queue"
+      ~bug:"a waited write claims its parked shard over queued writes"
+      ~switch:Mod_queue.Buggy.claim_ignores_backlog direct_jumps_queue;
   ]
 
 (* ---- DPOR model checker ----

@@ -10,8 +10,9 @@
     the [Buggy] switch of the module that owns the code
     ([Repro_rcu.Urcu], [Repro_rcu.Qsbr], [Repro_rcu.Reclaimer],
     [Repro_citrus.Citrus], [Repro_server.Shard_router],
-    [Repro_server.Breaker]), in a no-op grace period wrapped around a
-    correct flavour, or in a [Repro_modelcheck.Models] scenario.
+    [Repro_server.Breaker], [Repro_server.Mod_queue]), in a no-op grace
+    period wrapped around a correct flavour, or in a
+    [Repro_modelcheck.Models] scenario.
 
     {!check} hunts the mutant and then runs the same configuration with
     the bug off (the control), which must stay silent.
@@ -46,7 +47,7 @@ type entry = {
 }
 
 val all : entry list
-(** The 17 entries: four sanitizer hunts, three lockdep, three chaos and
+(** The 18 entries: four sanitizer hunts, three lockdep, four chaos and
     seven model-checker entries, in that order. *)
 
 type verdict

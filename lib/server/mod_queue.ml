@@ -61,9 +61,11 @@ let status_of_code = function
 
 let peek c = status_of_code (Atomic.get c.code)
 
-(* Park at once: a resolution is an updater's whole apply away, and on
-   few cores spinning or napping for it steals the CPU from that very
-   updater. The loop absorbs spurious condvar wake-ups. *)
+(* Park at once: a queued write's resolution is an updater's whole apply
+   away, and on few cores spinning or napping for it steals the CPU from
+   that very updater. A write its caller applied directly is resolved
+   before the wait, which then returns at once. The loop absorbs spurious
+   condvar wake-ups. *)
 let await c =
   while Atomic.get c.code = 0 do
     Waitq.wait c.waitq ~block_if:(fun () -> Atomic.get c.code = 0)
@@ -87,6 +89,12 @@ let dummy =
     probe = false;
   }
 
+(* Who may apply writes to the shard's tree. [Parked] is set only by a
+   [park] that blocks on an empty, open queue (or by the [release] that
+   hands the shard back to it), so a claim — [Parked] to [Caller] — can
+   only succeed once every write the queue accepted has been applied. *)
+type owner = Draining | Parked | Caller
+
 type t = {
   id : int;
   depth : int;
@@ -99,9 +107,11 @@ type t = {
   mutable enqueued : int;
   mutable dropped : int;
   mutable drained : int;
+  mutable direct : int;
   mutable purged : int;
   mutable max_depth : int;
   mutable closed : bool; (* guarded by [lock]; one-way, see [close] *)
+  mutable owner : owner; (* guarded by [lock] *)
   idle : Waitq.t; (* the drainer parks here while the queue is empty *)
   (* Staleness watchdog state, read outside the lock: the producer-side
      check must stay cheap and must keep working when the consumer is
@@ -121,6 +131,7 @@ type stats = {
   enqueued : int;
   dropped : int;
   drained : int;
+  direct : int;
   purged : int;
   max_depth : int;
   depth : int;
@@ -148,9 +159,11 @@ let create ?(id = 0) ~depth () =
     enqueued = 0;
     dropped = 0;
     drained = 0;
+    direct = 0;
     purged = 0;
     max_depth = 0;
     closed = false;
+    owner = Draining;
     idle = Waitq.create ();
     last_drain_ns = Atomic.make (Metrics.now_ns ());
     waiting_since = Atomic.make 0;
@@ -248,9 +261,10 @@ let enqueue t ?completion ?(deadline_ns = 0) ?(probe = false) op =
     if t.len > t.max_depth then t.max_depth <- t.len;
     t.enqueued <- t.enqueued + 1;
     Spinlock.release t.lock;
-    (* Only the empty -> non-empty enqueue can find the drainer parked:
-       [park] blocks only on an empty queue, re-checked under the lock
-       after registering as a waiter. *)
+    (* Only the empty -> non-empty enqueue can find the drainer parked
+       on an empty queue: [park] re-checks emptiness under the lock after
+       registering as a waiter. A drainer parked behind a claim is woken
+       by the [release]. *)
     if was_empty && Waitq.waiters t.idle > 0 then Waitq.broadcast t.idle;
     if Metrics.enabled () then
       Stats.incr Metrics.mod_enqueues (Metrics.slot ());
@@ -268,15 +282,59 @@ let close t =
   if Waitq.waiters t.idle > 0 then Waitq.broadcast t.idle
 
 (* The waiter count plus the re-check under [Waitq]'s mutex is the
-   lost-wake-up handshake: an enqueue or close either lands before the
-   re-check (which then sees it) or after it, when it sees the waiter
-   and broadcasts. *)
+   lost-wake-up handshake: an enqueue, close or release either lands
+   before the re-check (which then sees it) or after it, when it sees the
+   waiter and broadcasts. A claim can land between the wake-up and the
+   take-back, so the take-back re-parks while a caller holds the tree. *)
 let park t =
-  Waitq.wait t.idle ~block_if:(fun () ->
-      Spinlock.acquire t.lock;
-      let block = t.len = 0 && not t.closed in
-      Spinlock.release t.lock;
-      block)
+  let rec go () =
+    Waitq.wait t.idle ~block_if:(fun () ->
+        Spinlock.acquire t.lock;
+        let block = t.owner = Caller || (t.len = 0 && not t.closed) in
+        if block && t.owner = Draining then t.owner <- Parked;
+        Spinlock.release t.lock;
+        block);
+    Spinlock.acquire t.lock;
+    let held = t.owner = Caller in
+    if not held then t.owner <- Draining;
+    Spinlock.release t.lock;
+    if held then go ()
+  in
+  go ()
+
+let claim_ignores_backlog_bug = Atomic.make false
+
+module Buggy = struct
+  let claim_ignores_backlog b = Atomic.set claim_ignores_backlog_bug b
+end
+
+let claim t =
+  Spinlock.acquire t.lock;
+  let ok =
+    t.owner = Parked
+    && (t.len = 0 || Atomic.get claim_ignores_backlog_bug)
+    && not t.closed
+  in
+  if ok then begin
+    t.owner <- Caller;
+    t.direct <- t.direct + 1
+  end;
+  Spinlock.release t.lock;
+  ok
+
+(* The wake decision is taken under the lock together with the hand-back:
+   an entry enqueued while the caller held the tree found the updater
+   re-parked behind the claim, so only this broadcast can reach it. *)
+let release t =
+  Spinlock.acquire t.lock;
+  if t.owner <> Caller then begin
+    Spinlock.release t.lock;
+    invalid_arg "Mod_queue.release: no claim holds the shard"
+  end;
+  t.owner <- Parked;
+  let wake = t.len > 0 || t.closed in
+  Spinlock.release t.lock;
+  if wake && Waitq.waiters t.idle > 0 then Waitq.broadcast t.idle
 
 let is_closed t =
   Spinlock.acquire t.lock;
@@ -354,6 +412,7 @@ let stats (t : t) =
       enqueued = t.enqueued;
       dropped = t.dropped;
       drained = t.drained;
+      direct = t.direct;
       purged = t.purged;
       max_depth = t.max_depth;
       depth = t.depth;

@@ -3,7 +3,10 @@
     The write path of the serving layer: client domains enqueue [Insert]/
     [Delete] operations, one updater domain per shard drains them in FIFO
     order and applies them to the shard's Citrus tree (see
-    {!Shard_router} and SERVING.md). The queue is a spinlock-guarded ring
+    {!Shard_router} and SERVING.md). The queue also records who owns the
+    tree: the updater, or — while the updater is parked on an empty
+    queue — a waited writer that {!claim}ed the shard to apply its own
+    operation. The queue is a spinlock-guarded ring
     — the critical section is a handful of stores, the lock carries the
     lockdep class ["server.mod_queue"] so the leaf-lock protocol (never
     held across tree operations) is machine-checked, and the bound is the
@@ -14,7 +17,9 @@
     [Mod_enqueue], rejections count [mod_drops], drains count
     [mod_drained] / trace [Mod_drain] and sample each operation's
     enqueue-to-drain delay into [mod_queue_wait_ns], purged entries count
-    [writes_lost] ([Repro_sync.Metrics]). Fault points ["server.enqueue"]
+    [writes_lost] ([Repro_sync.Metrics]). A claimed write never enters
+    the ring, so it shows in none of these; {!stats} counts it as
+    [direct]. Fault points ["server.enqueue"]
     and ["server.drain"] fire before the lock is taken, and
     ["server.drain.stall"] fires on the drain side for wedging the
     updater with a [delay_ns] action ([Repro_fault.Fault]). *)
@@ -75,9 +80,10 @@ val peek : completion -> status
 
 val await : completion -> status
 (** Park the calling domain until the cell resolves, without spinning
-    first; returns the resolved status (never [Pending]). Only terminates
-    if an updater is draining — or a purge abandons — the queue the
-    operation was accepted into. With lockdep armed, awaiting inside an
+    first; returns the resolved status (never [Pending]) — at once for a
+    cell its own writer already resolved. Only terminates if an updater
+    is draining — or a purge abandons — the queue the operation was
+    accepted into. With lockdep armed, awaiting inside an
     RCU read section is a violation: the updater that would resolve the
     cell may be waiting for that section to end. *)
 
@@ -105,6 +111,9 @@ type stats = {
   enqueued : int;  (** operations accepted *)
   dropped : int;  (** enqueue attempts rejected (queue full) *)
   drained : int;  (** operations spliced out by {!drain} *)
+  direct : int;
+      (** successful {!claim}s: waited writes applied by their own caller,
+          never queued *)
   purged : int;  (** accepted operations discarded by {!purge} *)
   max_depth : int;  (** high-water mark of the queue length *)
   depth : int;  (** the configured capacity *)
@@ -146,7 +155,7 @@ val try_enqueue :
 
 val close : t -> unit
 (** Permanently stop admitting entries ({!enqueue} returns
-    [Admit_closed]) and wake a {!park}ed drainer. Taken under the queue
+    [Admit_closed], {!claim} fails) and wake a {!park}ed drainer. Taken under the queue
     lock: once [close] returns, every concurrent enqueue has either
     already landed its entry — visible to a subsequent {!drain} or
     {!purge} — or is rejected, so a purge (or drain-to-empty) after
@@ -158,12 +167,43 @@ val close : t -> unit
 val is_closed : t -> bool
 
 val park : t -> unit
-(** Block the draining domain while the queue is empty and open. Woken
-    by the {!enqueue} that makes the queue non-empty and by {!close};
-    returns at once if either already happened. May return spuriously —
-    the caller re-drains and parks again. The emptiness check runs under
-    the queue lock after registering as a waiter, so no wake-up is
-    lost. *)
+(** Block the draining domain while the queue is empty and open, and
+    while a {!claim} holds the shard. Woken by the {!enqueue} that makes
+    the queue non-empty, by {!close} and by a {!release} that finds
+    either; returns at once if the queue is already non-empty or closed
+    and no claim holds. Returns owning the tree again: no claim can
+    succeed until the next [park] blocks. May return spuriously — the
+    caller re-drains and parks again. The checks run under the queue
+    lock after registering as a waiter, so no wake-up is lost. *)
+
+(** {2 Direct application}
+
+    A waited writer may apply its own operation instead of queueing it,
+    but only while the updater is parked on an empty, open queue: every
+    write the shard accepted before has then been applied, so per-key
+    arrival order holds. Before the first [park], during a supervisor
+    restart and after the updater exits, the updater owns the tree and
+    every claim fails. *)
+
+val claim : t -> bool
+(** Take the shard from its parked updater: succeeds, under the queue
+    lock, only if the updater is blocked in {!park}, the queue is empty
+    and it is not closed, and no other claim holds. Counts [direct]. The
+    caller applies its operation and must then {!release}. *)
+
+val release : t -> unit
+(** Hand a claimed shard back to its parked updater, waking it if
+    entries were queued or the queue was closed meanwhile. Call however
+    the apply exits.
+    @raise Invalid_argument if no claim holds the shard. *)
+
+(** Seeded bug — set only by the mutation registry; turn it off again
+    right after the run. *)
+module Buggy : sig
+  val claim_ignores_backlog : bool -> unit
+  (** {!claim} skips its empty-queue test, so a waited write can overtake
+      writes queued before it ([direct-jumps-queue]). *)
+end
 
 val drain : t -> max:int -> entry array
 (** Splice out up to [max] operations in FIFO order. The lock is released

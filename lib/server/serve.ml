@@ -173,13 +173,13 @@ let run ?(observe = false) (dict : (module Repro_dict.Dict.DICT)) (c : cfg) =
   let load = Open_loop.run spec make_client in
   (* Window counters before shutdown: the backlog drained during
      [shutdown] belongs to [drained_total], not the measured interval. *)
-  let drained = S.drained t in
+  let drained = S.applied t in
   let metrics = if observe then Metrics.snapshot () else [] in
   let breakers = S.breaker_states t in
   let breaker_trips = S.breaker_trips t in
   let breaker_rejects = S.breaker_rejects t in
   let shutdown = S.shutdown ~deadline_ns:c.shutdown_deadline_ns t in
-  let drained_total = S.drained t in
+  let drained_total = S.applied t in
   let final_size = S.size t in
   S.check t;
   let rejects_by_reason =
@@ -278,6 +278,7 @@ let point_json (r : result) =
                       ("enqueued", Json.Int q.Mod_queue.enqueued);
                       ("dropped", Json.Int q.Mod_queue.dropped);
                       ("drained", Json.Int q.Mod_queue.drained);
+                      ("direct", Json.Int q.Mod_queue.direct);
                       ("purged", Json.Int q.Mod_queue.purged);
                       ("max_depth", Json.Int q.Mod_queue.max_depth);
                       ("depth", Json.Int q.Mod_queue.depth);

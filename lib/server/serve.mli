@@ -24,8 +24,10 @@ type write_mode =
       (** fire-and-forget: a write completes when accepted into the
           queue; its latency is the enqueue cost *)
   | Wait
-      (** each write spins on a completion cell until applied; its
-          latency includes the full queueing delay *)
+      (** each write waits for its result: applied by the writer itself
+          when its shard's updater is idle, else parked on a completion
+          cell until the updater applies it, so its latency includes the
+          full queueing delay *)
 
 val write_mode_name : write_mode -> string
 (** ["async"] / ["wait"] — the report's [write_mode] field. *)
@@ -83,8 +85,10 @@ type result = {
       (** client-side view (latency, drops, retries, exhausted
           deadlines) *)
   drained : int;
-      (** writes applied within the measured window — the aggregate
-          write-throughput numerator *)
+      (** writes applied within the measured window, drained from the
+          queues or applied directly by their waited writers
+          (the router's [applied]) — the aggregate write-throughput
+          numerator *)
   drained_total : int;
       (** including the backlog drained during shutdown *)
   write_throughput : float;  (** [drained /. load.wall], ops/s *)

@@ -8,11 +8,13 @@ module Stall = Repro_rcu.Stall
    classes and bounded modification queue drained by a dedicated updater
    domain. Reads go straight to the owning shard's tree (wait-free, as in
    the paper); writes are enqueued and applied asynchronously, so a
-   client never pays a grace period — the updater does, and while one
-   shard's updater is blocked in synchronize the other shards' updaters
-   keep draining. An updater with nothing to drain parks on its queue,
-   and a waited writer parks on its completion: both hand-offs block
-   rather than poll. See SERVING.md.
+   fire-and-forget client never pays a grace period — the updater does,
+   and while one shard's updater is blocked in synchronize the other
+   shards' updaters keep draining. An updater with nothing to drain parks
+   on its queue, and a waited writer parks on its completion: both
+   hand-offs block rather than poll. A waited write that finds its
+   shard's updater parked on an empty queue skips both: it claims the
+   shard and applies itself ([Mod_queue.claim]). See SERVING.md.
 
    Each updater runs under a [Supervisor]: a crash (injected or real)
    unregisters the dead domain's RCU slot, and the restarted incarnation
@@ -183,17 +185,11 @@ module Make (D : Repro_dict.Dict.DICT) = struct
     then raise (Fault.Injected (Fault.name fp_crash));
     if Fault.enabled () then Fault.inject fp_crash
 
-  (* Apply one entry through a registered handle and resolve its
-     completion — shared by the updater and the shutdown sweep. *)
-  let apply_with h (e : Mod_queue.entry) =
-    let result =
-      match e.op with
-      | Mod_queue.Insert (k, v) -> D.insert h k v
-      | Mod_queue.Delete k -> D.delete h k
-    in
-    match e.completion with
-    | Some c -> Mod_queue.complete c result
-    | None -> ()
+  (* The one dispatch from a queued or direct operation to the tree: the
+     updater, the shutdown sweep and a direct write all apply through it. *)
+  let apply_op h = function
+    | Mod_queue.Insert (k, v) -> D.insert h k v
+    | Mod_queue.Delete k -> D.delete h k
 
   (* A shard whose grace periods stalled within this window reports full
      reclamation pressure regardless of bag depth: the backlog is about
@@ -264,11 +260,7 @@ module Make (D : Repro_dict.Dict.DICT) = struct
         Breaker.on_failure shard.breaker ~now_ns:now ~probe:e.probe
       end
       else begin
-        let result =
-          match e.op with
-          | Mod_queue.Insert (k, v) -> D.insert h k v
-          | Mod_queue.Delete k -> D.delete h k
-        in
+        let result = apply_op h e.op in
         (match e.completion with
         | Some c ->
             if replayed then Mod_queue.complete_replayed c result
@@ -378,7 +370,13 @@ module Make (D : Repro_dict.Dict.DICT) = struct
           let rec go () =
             let batch = Mod_queue.drain s.queue ~max:t.drain_batch in
             if Array.length batch > 0 then begin
-              Array.iter (apply_with h) batch;
+              Array.iter
+                (fun (e : Mod_queue.entry) ->
+                  let result = apply_op h e.op in
+                  Option.iter
+                    (fun c -> Mod_queue.complete c result)
+                    e.completion)
+                batch;
               go ()
             end
           in
@@ -541,24 +539,45 @@ module Make (D : Repro_dict.Dict.DICT) = struct
   let get h k = D.contains h.handles.(shard_of h.router k) k
   let mem h k = D.mem h.handles.(shard_of h.router k) k
 
+  (* A waited write that claimed its idle shard, applied on the caller's
+     domain through the caller's own registration. The outcome feeds the
+     breaker with the admission's probe flag, as the updater's would. A
+     raising apply releases the claim, reports a failure — so a Half_open
+     probe slot cannot leak — and re-raises: the write was never queued,
+     so nothing accepted is lost and nothing is left pending. *)
+  let apply_direct dh s ~probe c op =
+    match apply_op dh op with
+    | result ->
+        Mod_queue.release s.queue;
+        Breaker.on_success s.breaker ~now_ns:(Metrics.now_ns ()) ~probe;
+        Mod_queue.complete c result
+    | exception e ->
+        Mod_queue.release s.queue;
+        Breaker.on_failure s.breaker ~now_ns:(Metrics.now_ns ()) ~probe;
+        raise e
+
   (* Admission: shutdown and failure are permanent rejects; a write
      already past its deadline is refused dead-on-arrival; the breaker
      gates what is left (its probe verdicts ride into the queue on the
      entry); a Degraded shard sheds fire-and-forget writes (nobody is
      waiting — dropping them is what lets the queue drain) while
      admitting waited ones (their waiter is the natural backpressure)
-     and probes (the breaker cannot close without them); the queue
-     bound rejects the rest. Sheds, full-queue rejects and expiries all
-     feed the breaker's failure window — persistent per-request
-     backpressure is what converts into an open breaker. The health
-     observations (pressure, depth, staleness) happen on this path
-     because the producers are the domains still alive when an updater
-     wedges, and the only ones running when it idles. *)
-  let enqueue h k ~waited ?completion ?(deadline_ns = 0) op =
+     and probes (the breaker cannot close without them). A waited write
+     whose shard's updater is parked on an empty queue then applies
+     itself, unless a [crash_updater] request is pending (that seam
+     crashes an updater entry); the queue bound rejects the rest. Sheds,
+     full-queue rejects and expiries all feed the breaker's failure
+     window — persistent per-request backpressure is what converts into
+     an open breaker. The health observations (pressure, depth,
+     staleness) happen on this path because the producers are the
+     domains still alive when an updater wedges, and the only ones
+     running when it idles. *)
+  let enqueue h k ?completion ?(deadline_ns = 0) op =
     let t = h.router in
     if Atomic.get t.stop then Error Shutdown
     else begin
-      let s = t.shards.(shard_of t k) in
+      let i = shard_of t k in
+      let s = t.shards.(i) in
       let now = Metrics.now_ns () in
       observe_pressure s ~now;
       Health.observe_depth s.health (Mod_queue.length s.queue);
@@ -583,41 +602,49 @@ module Make (D : Repro_dict.Dict.DICT) = struct
             | Breaker.Reject -> Error Breaker_open
             | verdict -> (
                 let probe = verdict = Breaker.Probe in
-                if hs = Health.Degraded && (not waited) && not probe then begin
+                if hs = Health.Degraded && Option.is_none completion && not probe
+                then begin
                   if Metrics.enabled () then
                     Stats.incr Metrics.writes_shed (Metrics.slot ());
                   Breaker.on_failure s.breaker ~now_ns:now ~probe:false;
                   Error Overload
                 end
                 else
-                  match
-                    Mod_queue.enqueue s.queue ?completion ~deadline_ns ~probe
-                      op
-                  with
-                  | Mod_queue.Admitted -> Ok ()
-                  | Mod_queue.Admit_full ->
-                      Breaker.on_failure s.breaker ~now_ns:now ~probe;
-                      Error Full
-                  | Mod_queue.Admit_closed ->
-                      (* A failure path or shutdown closed the queue after
-                         our stop/Health checks passed ([close] is taken
-                         under the queue lock, so this entry provably did
-                         not land). Report the cause, not backpressure. A
-                         claimed probe slot is released as a failure so it
-                         cannot leak the Half_open episode. *)
-                      if probe then
-                        Breaker.on_failure s.breaker ~now_ns:now ~probe;
-                      if Health.state s.health = Health.Failed then
-                        Error Failed
-                      else Error Shutdown)
+                  match completion with
+                  | Some c
+                    when (not (Atomic.get s.crash_flag))
+                         && Mod_queue.claim s.queue ->
+                      apply_direct h.handles.(i) s ~probe c op;
+                      Ok ()
+                  | _ -> (
+                      match
+                        Mod_queue.enqueue s.queue ?completion ~deadline_ns
+                          ~probe op
+                      with
+                      | Mod_queue.Admitted -> Ok ()
+                      | Mod_queue.Admit_full ->
+                          Breaker.on_failure s.breaker ~now_ns:now ~probe;
+                          Error Full
+                      | Mod_queue.Admit_closed ->
+                          (* A failure path or shutdown closed the queue
+                             after our stop/Health checks passed ([close] is
+                             taken under the queue lock, so this entry
+                             provably did not land). Report the cause, not
+                             backpressure. A claimed probe slot is released
+                             as a failure so it cannot leak the Half_open
+                             episode. *)
+                          if probe then
+                            Breaker.on_failure s.breaker ~now_ns:now ~probe;
+                          if Health.state s.health = Health.Failed then
+                            Error Failed
+                          else Error Shutdown))
           end
     end
 
   let insert h ?deadline_ns k v =
-    enqueue h k ~waited:false ?deadline_ns (Mod_queue.Insert (k, v))
+    enqueue h k ?deadline_ns (Mod_queue.Insert (k, v))
 
-  let delete h ?deadline_ns k =
-    enqueue h k ~waited:false ?deadline_ns (Mod_queue.Delete k)
+  let delete h ?deadline_ns k = enqueue h k ?deadline_ns (Mod_queue.Delete k)
 
   (* A waited write whose completion aborts was accepted and then
      discarded by a failure path; report it as the reject that caused
@@ -636,18 +663,13 @@ module Make (D : Repro_dict.Dict.DICT) = struct
 
   let insert_wait h ?deadline_ns k v =
     let c = Mod_queue.completion () in
-    match
-      enqueue h k ~waited:true ~completion:c ?deadline_ns
-        (Mod_queue.Insert (k, v))
-    with
+    match enqueue h k ~completion:c ?deadline_ns (Mod_queue.Insert (k, v)) with
     | Error _ as e -> e
     | Ok () -> await_result h k c
 
   let delete_wait h ?deadline_ns k =
     let c = Mod_queue.completion () in
-    match
-      enqueue h k ~waited:true ~completion:c ?deadline_ns (Mod_queue.Delete k)
-    with
+    match enqueue h k ~completion:c ?deadline_ns (Mod_queue.Delete k) with
     | Error _ as e -> e
     | Ok () -> await_result h k c
 
@@ -696,9 +718,11 @@ module Make (D : Repro_dict.Dict.DICT) = struct
       (fun acc sup -> Supervisor.restart_latencies_ns sup @ acc)
       [] t.supervisors
 
-  let drained t =
+  let applied t =
     Array.fold_left
-      (fun acc s -> acc + (Mod_queue.stats s.queue).Mod_queue.drained)
+      (fun acc s ->
+        let q = Mod_queue.stats s.queue in
+        acc + q.Mod_queue.drained + q.Mod_queue.direct)
       0 t.shards
 
   let size t = Array.fold_left (fun acc s -> acc + D.size s.table) 0 t.shards

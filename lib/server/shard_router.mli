@@ -7,10 +7,13 @@
     splitmix64 hash of the key. Reads ([get]/[mem]) go directly to the
     owning shard's tree — wait-free, as in the paper. Writes are enqueued
     into the shard's bounded {!Mod_queue} and applied by the shard's
-    dedicated updater domain, so a client never pays a grace period; the
-    updater does, and a grace-period-blocked updater stalls only its own
-    shard. Clients either fire-and-forget ([insert]/[delete]) or wait on
-    a completion cell ([insert_wait]/[delete_wait]).
+    dedicated updater domain, so a fire-and-forget client never pays a
+    grace period; the updater does, and a grace-period-blocked updater
+    stalls only its own shard. Clients either fire-and-forget
+    ([insert]/[delete]) or wait on a completion cell
+    ([insert_wait]/[delete_wait]); a waited write that finds its shard's
+    updater parked on an empty queue applies itself instead
+    ({!Mod_queue.claim}).
 
     Robustness (see ROBUSTNESS.md, "Serving-layer failure model"): each
     updater runs under a {!Supervisor} — a crash frees the dead domain's
@@ -145,7 +148,9 @@ module Make (D : Repro_dict.Dict.DICT) : sig
       so a producer racing the shutdown either gets its entry applied or
       a typed [Shutdown] reject — never a stranded entry), then let each
       updater drain its backlog — every accepted completion resolves —
-      returning [Drained]; entries that slipped in behind an exiting
+      returning [Drained]. An updater cannot finish while a waited writer
+      applies directly on its shard, so [Drained] also means those
+      applies returned. Entries that slipped in behind an exiting
       updater (including a backlog enqueued when {!start} was never
       called) are applied by the shutdown caller itself. If the drain
       exceeds [deadline_ns] (default 5 s): force-stop — updaters exit at
@@ -206,6 +211,13 @@ module Make (D : Repro_dict.Dict.DICT) : sig
       {!start} and {!shutdown}); the wait includes the operation's whole
       queueing delay.
 
+      If the admitted write finds the shard's updater parked on an empty
+      queue (and no {!crash_updater} request pending), it is not queued:
+      the caller claims the shard, applies the operation through its own
+      handle — paying the tree operation, including a two-child delete's
+      grace period — and returns [Ok (Applied r)]. An exception from
+      that apply reaches the caller; the write was never accepted.
+
       Post-crash caveat: if an updater crash lands {e inside} the
       dictionary operation after it linearized, the restarted updater's
       idempotent replay returns the no-op answer — [Replayed] makes the
@@ -227,7 +239,9 @@ module Make (D : Repro_dict.Dict.DICT) : sig
       [Fault.Injected "server.updater.crash"] at the next
       entry-application boundary (so the crash always lands with the
       rest of the batch unapplied — the adoption window). Deterministic,
-      unlike arming the named fault point with a rate. *)
+      unlike arming the named fault point with a rate. Both hit queued
+      entries only; while the request is pending, waited writes to the
+      shard are queued rather than applied directly. *)
 
   (** {2 Monitoring} *)
 
@@ -276,8 +290,9 @@ module Make (D : Repro_dict.Dict.DICT) : sig
   (** Crash-to-replacement-running samples across all shards — stable
       after {!shutdown}. *)
 
-  val drained : t -> int
-  (** Total operations applied across all shards — the aggregate write
+  val applied : t -> int
+  (** Total operations applied across all shards, drained from the queues
+      or applied directly by their waited writers — the aggregate write
       throughput numerator. Racy while running. *)
 
   val size : t -> int

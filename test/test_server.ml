@@ -5,7 +5,9 @@
    (including that a failed shard aborts rather than strands its
    waiters), the closed-admission barrier, the staleness watchdog, the
    parked updater and waiter hand-offs (no polling while idle, no lost
-   wake-up, release by purge and forced shutdown), admission-side
+   wake-up, release by purge and forced shutdown), a waited write
+   applying itself on an idle shard (the claim protocol, an exception
+   inside the apply, shutdown during it), admission-side
    pressure healing, the shutdown drain deadline and no-updater backlog
    sweep, the open-loop generator's retry/deadline accounting, the chaos
    backlog-loss mutation, and an end-to-end serve run with lockdep and
@@ -426,21 +428,33 @@ let test_idle_updater_parks () =
   checkb "drained shutdown" true (Router.shutdown t = Shard_router.Drained)
 
 let test_no_lost_wakeup () =
-  (* Every waited write both parks its client and wakes a parked updater
-     ([drain_batch:1] maximises the park/wake round trips). A lost
-     wake-up hangs a client; a wrong result breaks the ledger. Each
-     client owns the keys congruent to its index, so it knows every
-     result in advance. *)
+  (* Every waited write parks its client, and the fire-and-forget write
+     just before it, to the same shard, wakes a parked updater
+     ([drain_batch:1] maximises the park/wake round trips). That write
+     deletes a key no client ever inserts, and it keeps the queue
+     non-empty, so the waited write is queued instead of applied
+     directly. A lost wake-up hangs a client; a wrong result breaks the
+     ledger. Each client owns the keys congruent to its index, so it
+     knows every result in advance. *)
   let clients = 4 and writes = 2000 in
   let t = Router.create ~shards:2 ~drain_batch:1 ~max_clients:clients () in
   Router.start t;
+  let absent =
+    Array.init 2 (fun s ->
+        let k = ref 1_000_000 in
+        while Router.shard_of t !k <> s do
+          incr k
+        done;
+        !k)
+  in
   let client i () =
     let h = Router.register t in
     let rng = Random.State.make [| i |] in
     let present = Hashtbl.create 64 in
-    let bad = ref 0 in
+    let bad = ref 0 and async = ref 0 in
     for _ = 1 to writes do
       let k = (Random.State.int rng 64 * clients) + i in
+      if Router.delete h absent.(Router.shard_of t k) = Ok () then incr async;
       let was = Hashtbl.mem present k in
       (* Both operations report whether they changed the set. *)
       let r, expect =
@@ -458,19 +472,31 @@ let test_no_lost_wakeup () =
       | Ok _ | Error _ -> incr bad
     done;
     Router.unregister h;
-    (Hashtbl.length present, !bad)
+    (Hashtbl.length present, !bad, !async)
   in
   let doms = List.init clients (fun i -> Domain.spawn (client i)) in
   let results = List.map Domain.join doms in
   List.iteri
-    (fun i (_, bad) ->
+    (fun i (_, bad, _) ->
       checki (Printf.sprintf "client %d: every write Ok, as predicted" i) 0 bad)
     results;
   checkb "drained shutdown" true (Router.shutdown t = Shard_router.Drained);
   checki "size matches the ledger"
-    (List.fold_left (fun acc (n, _) -> acc + n) 0 results)
+    (List.fold_left (fun acc (n, _, _) -> acc + n) 0 results)
     (Router.size t);
-  Router.check t
+  Router.check t;
+  let enqueued =
+    Array.fold_left
+      (fun acc (q : Mod_queue.stats) -> acc + q.Mod_queue.enqueued)
+      0 (Router.queue_stats t)
+  in
+  let async = List.fold_left (fun acc (_, _, a) -> acc + a) 0 results in
+  let queued_waited = enqueued - async in
+  checkb
+    (Printf.sprintf "most waited writes queued (%d of %d)" queued_waited
+       (clients * writes))
+    true
+    (queued_waited >= clients * writes / 2)
 
 let test_watchdog_ignores_parked_idle () =
   (* A parked updater does not drain, so "time since the last drain"
@@ -682,6 +708,207 @@ let test_breaker_config_validation () =
   bad { breaker_cfg with Breaker.failure_pct = 101 };
   bad { breaker_cfg with Breaker.probes = 0 };
   bad { breaker_cfg with Breaker.open_max_ns = 1 }
+
+(* --- direct application: a waited write claims its idle shard --- *)
+
+(* Drive waited deletes of a key no test inserts until one goes direct:
+   the updater is then parked, and stays parked while nothing else
+   writes to the shard. *)
+let wait_parked ~direct ~probe =
+  wait_for "a direct write" (fun () ->
+      let before = direct () in
+      probe ();
+      direct () > before)
+
+let test_claim_protocol () =
+  let q = Mod_queue.create ~depth:8 () in
+  checkb "refused before the first park" false (Mod_queue.claim q);
+  let drained = Atomic.make 0 in
+  let drainer =
+    Domain.spawn (fun () ->
+        let rec loop () =
+          let n = Array.length (Mod_queue.drain q ~max:8) in
+          ignore (Atomic.fetch_and_add drained n);
+          if n > 0 then loop ()
+          else if not (Mod_queue.is_closed q) then begin
+            Mod_queue.park q;
+            loop ()
+          end
+        in
+        loop ())
+  in
+  wait_for "a claim on the parked, empty queue" (fun () -> Mod_queue.claim q);
+  checkb "refused while another claim holds" false (Mod_queue.claim q);
+  checkb "enqueue while claimed" true
+    (Mod_queue.try_enqueue q (Mod_queue.Insert (1, 1)));
+  Unix.sleepf 0.02;
+  checki "the drainer waits out the claim" 0 (Atomic.get drained);
+  Mod_queue.release q;
+  wait_for "the drain after the release" (fun () -> Atomic.get drained = 1);
+  let parked_again () =
+    wait_for "the drainer parks again" (fun () ->
+        Mod_queue.claim q
+        && begin
+             Mod_queue.release q;
+             true
+           end)
+  in
+  parked_again ();
+  (* A 50 ms delay on the drain keeps the woken drainer from emptying the
+     queue and parking again before the claim below. *)
+  Fun.protect
+    ~finally:(fun () -> Repro_fault.Fault.set "server.drain.stall" ~rate:0.0)
+    (fun () ->
+      Repro_fault.Fault.set "server.drain.stall" ~rate:1.0
+        ~action:(Repro_fault.Fault.Delay_ns 50_000_000);
+      checkb "enqueue on the parked queue" true
+        (Mod_queue.try_enqueue q (Mod_queue.Insert (2, 2)));
+      checkb "refused on a non-empty queue" false (Mod_queue.claim q);
+      wait_for "the second drain" (fun () -> Atomic.get drained = 2));
+  parked_again ();
+  (* Claim at once, before the woken drainer takes the tree back. *)
+  Mod_queue.close q;
+  let after_close = Mod_queue.claim q in
+  checkb "refused after close" false after_close;
+  Domain.join drainer;
+  checki "direct counts granted claims" 3 (Mod_queue.stats q).Mod_queue.direct;
+  Alcotest.check_raises "release without a claim"
+    (Invalid_argument "Mod_queue.release: no claim holds the shard")
+    (fun () -> Mod_queue.release q)
+
+let test_direct_write () =
+  let t = Router.create ~shards:1 ~max_clients:2 () in
+  let h = Router.register t in
+  Router.start t;
+  let q () = (Router.queue_stats t).(0) in
+  wait_parked
+    ~direct:(fun () -> (q ()).Mod_queue.direct)
+    ~probe:(fun () -> ignore (Router.delete_wait h 0));
+  let before = q () in
+  checkb "applied" true
+    (Router.insert_wait h 5 5 = Ok (Shard_router.Applied true));
+  let after = q () in
+  checki "never enqueued" before.Mod_queue.enqueued after.Mod_queue.enqueued;
+  checki "counted direct" (before.Mod_queue.direct + 1) after.Mod_queue.direct;
+  checkb "read sees it" true (Router.get h 5 = Some 5);
+  Router.unregister h;
+  checkb "drained shutdown" true (Router.shutdown t = Shard_router.Drained);
+  Router.check t
+
+(* A Citrus whose insert raises on [poison_key] and blocks on
+   [latch_key] while [latch_open] is false: the faults a direct apply
+   must survive. *)
+let poison_key = 1_000_001
+let latch_key = 1_000_002
+let latch_open = Atomic.make true
+let latch_entered = Atomic.make false
+let latch_applied_ns = Atomic.make 0
+
+module Faulty = struct
+  include Dict.Citrus_epoch
+
+  let insert h k v =
+    if k = poison_key then failwith "poisoned insert";
+    if k = latch_key then begin
+      Atomic.set latch_entered true;
+      while not (Atomic.get latch_open) do
+        Unix.sleepf 0.001
+      done;
+      let r = insert h k v in
+      Atomic.set latch_applied_ns (Metrics.now_ns ());
+      r
+    end
+    else insert h k v
+end
+
+module Faulty_router = Shard_router.Make (Faulty)
+
+let test_direct_apply_raises () =
+  let t =
+    Faulty_router.create ~shards:1 ~max_clients:2
+      ~breaker:{ breaker_cfg with Breaker.probes = 1 }
+      ()
+  in
+  let h = Faulty_router.register t in
+  Faulty_router.start t;
+  let parked () =
+    wait_parked
+      ~direct:(fun () -> (Faulty_router.queue_stats t).(0).Mod_queue.direct)
+      ~probe:(fun () -> ignore (Faulty_router.delete_wait h 0))
+  in
+  let poisoned what =
+    match Faulty_router.insert_wait h poison_key 0 with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.fail (what ^ ": the apply's exception was swallowed")
+  in
+  parked ();
+  poisoned "closed breaker";
+  checkb "later write accepted" true (Faulty_router.insert h 7 7 = Ok ());
+  wait_for "the later write drained" (fun () -> Faulty_router.mem h 7);
+  (* Trip the breaker with dead-on-arrival writes, which leave the parked
+     updater alone; past the ~1 µs open interval the next write is the
+     Half_open episode's only probe. *)
+  parked ();
+  let rec trip n =
+    if (Faulty_router.breaker_states t).(0) <> Breaker.Open then
+      if n = 0 then Alcotest.fail "the breaker never tripped"
+      else begin
+        ignore (Faulty_router.insert h ~deadline_ns:1 8 8);
+        trip (n - 1)
+      end
+  in
+  trip 200;
+  Unix.sleepf 0.002;
+  poisoned "probe";
+  checkb "the failed probe re-opened the breaker" true
+    ((Faulty_router.breaker_states t).(0) = Breaker.Open);
+  Unix.sleepf 0.002;
+  checkb "the next probe is admitted and applied" true
+    (Faulty_router.insert_wait h 9 9 = Ok (Shard_router.Applied true));
+  checkb "and closes the breaker" true
+    ((Faulty_router.breaker_states t).(0) = Breaker.Closed);
+  Faulty_router.unregister h;
+  checkb "drained shutdown" true
+    (Faulty_router.shutdown t = Shard_router.Drained);
+  checki "size" 2 (Faulty_router.size t);
+  Faulty_router.check t
+
+let test_shutdown_waits_for_direct_apply () =
+  let t = Faulty_router.create ~shards:1 ~max_clients:4 () in
+  let h = Faulty_router.register t in
+  Faulty_router.start t;
+  wait_parked
+    ~direct:(fun () -> (Faulty_router.queue_stats t).(0).Mod_queue.direct)
+    ~probe:(fun () -> ignore (Faulty_router.delete_wait h 0));
+  let enqueued = (Faulty_router.queue_stats t).(0).Mod_queue.enqueued in
+  Atomic.set latch_entered false;
+  Atomic.set latch_open false;
+  let writer =
+    Domain.spawn (fun () ->
+        let hw = Faulty_router.register t in
+        let r = Faulty_router.insert_wait hw latch_key 1 in
+        Faulty_router.unregister hw;
+        r)
+  in
+  wait_for "the direct apply" (fun () -> Atomic.get latch_entered);
+  checki "not queued" enqueued
+    (Faulty_router.queue_stats t).(0).Mod_queue.enqueued;
+  let stopper =
+    Domain.spawn (fun () ->
+        let r = Faulty_router.shutdown t in
+        (r, Metrics.now_ns ()))
+  in
+  Unix.sleepf 0.05;
+  Atomic.set latch_open true;
+  let r, returned_ns = Domain.join stopper in
+  checkb "drained shutdown" true (r = Shard_router.Drained);
+  checkb "returned after the apply" true
+    (returned_ns >= Atomic.get latch_applied_ns);
+  checkb "the waited write applied" true
+    (Domain.join writer = Ok (Shard_router.Applied true));
+  checki "size" 1 (Faulty_router.size t);
+  Faulty_router.check t;
+  Faulty_router.unregister h
 
 (* --- deadline propagation: dead-on-arrival admission --- *)
 
@@ -935,7 +1162,7 @@ let test_shutdown_drains_backlog () =
   done;
   Router.start t;
   checkb "drained" true (Router.shutdown t = Shard_router.Drained);
-  checki "all accepted applied" !accepted (Router.drained t);
+  checki "all accepted applied" !accepted (Router.applied t);
   checki "size matches" !accepted (Router.size t);
   Router.check t;
   Router.unregister h
@@ -1113,8 +1340,8 @@ let test_open_loop_expired_accounting () =
 
 (* --- chaos: the seeded backlog, breaker and deadline mutations ---
 
-   Each half of the registry's three chaos-audit entries on its own,
-   pinned to the evidence the scenario reports. *)
+   Each half of the registry's backlog, breaker and deadline chaos-audit
+   entries on its own, pinned to the evidence the scenario reports. *)
 
 module Mutants = Repro_mutants.Mutants
 
@@ -1250,6 +1477,10 @@ let test_serve_end_to_end () =
   checkb "health reported per shard" true
     (match Option.bind (member "health" point) to_list_opt with
     | Some l -> List.length l = 3
+    | None -> false);
+  checkb "direct writes reported per shard" true
+    (match Option.bind (member "queues" point) to_list_opt with
+    | Some qs -> List.for_all (fun q -> member "direct" q <> None) qs
     | None -> false)
 
 let test_serve_armed () =
@@ -1298,6 +1529,12 @@ let () =
           Alcotest.test_case "idle updater parks" `Quick
             test_idle_updater_parks;
           Alcotest.test_case "no lost wake-up" `Quick test_no_lost_wakeup;
+          Alcotest.test_case "waited write to an idle shard goes direct"
+            `Quick test_direct_write;
+          Alcotest.test_case "direct apply raises" `Quick
+            test_direct_apply_raises;
+          Alcotest.test_case "shutdown waits for a direct apply" `Quick
+            test_shutdown_waits_for_direct_apply;
           Alcotest.test_case "watchdog ignores a parked idle spell" `Quick
             test_watchdog_ignores_parked_idle;
         ] );
@@ -1339,6 +1576,7 @@ let () =
             test_completion_through_updater;
           Alcotest.test_case "purge aborts completions" `Quick
             test_purge_aborts_completions;
+          Alcotest.test_case "claim and release" `Quick test_claim_protocol;
           Alcotest.test_case "close rejects enqueue" `Quick
             test_close_rejects_enqueue;
           Alcotest.test_case "staleness watchdog" `Quick test_stall_watchdog;
