@@ -2,18 +2,16 @@
 
      dune exec bin/citrus_tool.exe -- list
      dune exec bin/citrus_tool.exe -- stress citrus --threads 8 --duration 2
-     dune exec bin/citrus_tool.exe -- lincheck skiplist --rounds 50
+     dune exec bin/citrus_tool.exe -- stats citrus --duration 0.2 --trace 32
 
    [stress] hammers one structure with a mixed workload, validates its
-   invariants afterwards, and prints throughput; [lincheck] records small
-   high-contention histories and model-checks them for linearizability. *)
+   invariants afterwards, and prints throughput; [stats] runs the same
+   workload observed and dumps the metrics and trace that explain it. *)
 
 module W = Repro_workload.Workload
 module Runner = Repro_workload.Runner
 module Report = Repro_workload.Report
 module Dict = Repro_dict.Dict
-module Checker = Repro_linchecker.Checker
-module Lin_harness = Repro_linchecker.Lin_harness
 module Fault = Repro_fault.Fault
 module Torture = Repro_rcu.Torture
 module Serve = Repro_server.Serve
@@ -71,95 +69,6 @@ let stress name threads duration key_range contains_pct =
   let r = registry_guard threads (fun () -> Runner.run (module D) cfg) in
   Report.print_result r;
   print_endline "invariants: OK"
-
-let lincheck name rounds threads ops keys =
-  let (module D) = resolve name in
-  Printf.printf
-    "lincheck %s: %d rounds of %d threads x %d ops on %d keys\n%!" D.name
-    rounds threads ops keys;
-  for seed = 1 to rounds do
-    let events =
-      Lin_harness.record_random
-        (module D)
-        ~threads ~ops_per_thread:ops ~key_range:keys
-        ~seed:(Int64.of_int (seed * 7919))
-    in
-    Checker.check_exn events;
-    if seed mod 10 = 0 then Printf.printf "  %d/%d ok\n%!" seed rounds
-  done;
-  Printf.printf "all %d histories linearizable\n" rounds
-
-(* Single-key conservation soak: all traffic on one key, so successful
-   inserts/deletes must alternate strictly — a cheap, sharp detector for
-   lost or duplicated updates (it caught a descriptor-ABA bug in the Ellen
-   port; see DESIGN.md §8). *)
-let soak name trials =
-  let (module D) = resolve name in
-  Printf.printf "soaking %s: %d trials of 3 domains x 30 single-key ops\n%!"
-    D.name trials;
-  let bad = ref 0 in
-  for trial = 1 to trials do
-    let t = D.create () in
-    let ins = Atomic.make 0 and del = Atomic.make 0 in
-    let workers =
-      List.init 3 (fun i ->
-          Domain.spawn (fun () ->
-              let h = D.register t in
-              let rng =
-                Repro_sync.Rng.create (Int64.of_int ((trial * 10) + i))
-              in
-              for _ = 1 to 30 do
-                if Repro_sync.Rng.bool rng then begin
-                  if D.insert h 7 7 then Atomic.incr ins
-                end
-                else if D.delete h 7 then Atomic.incr del
-              done;
-              D.unregister h))
-    in
-    List.iter Domain.join workers;
-    let diff = Atomic.get ins - Atomic.get del in
-    let h = D.register t in
-    let present = D.mem h 7 in
-    D.unregister h;
-    if diff < 0 || diff > 1 || present <> (diff = 1) then begin
-      incr bad;
-      Printf.printf "  trial %d VIOLATION: ins=%d del=%d present=%b\n%!" trial
-        (Atomic.get ins) (Atomic.get del) present
-    end;
-    (try D.check t
-     with e ->
-       incr bad;
-       Printf.printf "  trial %d INVARIANT: %s\n%!" trial (Printexc.to_string e));
-    if trial mod 2000 = 0 then Printf.printf "  %d/%d ok\n%!" trial trials
-  done;
-  if !bad = 0 then Printf.printf "clean: %d trials, no violations\n" trials
-  else begin
-    Printf.printf "%d violations!\n" !bad;
-    exit 1
-  end
-
-let latency name threads duration keys contains_pct =
-  let (module D) = resolve name in
-  let mix = contains_mix contains_pct in
-  let cfg =
-    W.config ~key_range:keys ~threads ~duration ~role:(W.Uniform mix) ()
-  in
-  Printf.printf "latency of %s: %d threads, %.1fs, keys [0,%d)\n%!" D.name
-    threads duration keys;
-  let per_op =
-    registry_guard threads (fun () ->
-        Repro_workload.Latency.measure (module D) cfg)
-  in
-  List.iter
-    (fun (op, s) ->
-      let op_name =
-        match op with
-        | W.Contains -> "contains"
-        | W.Insert -> "insert"
-        | W.Delete -> "delete"
-      in
-      Format.printf "  %-9s %a@." op_name Repro_workload.Latency.pp_summary s)
-    per_op
 
 (* Live observability: run a short observed workload and dump the
    serialization metrics (and optionally the event trace) that explain its
@@ -243,9 +152,6 @@ let stats name threads duration keys contains_pct trace_events json_file =
           Printf.eprintf "cannot write JSON report: %s\n" msg;
           exit 1)
 
-(* Open-loop serving demo: stand up the sharded service over one
-   structure, offer a fixed load, report per-op latency percentiles and
-   the drop/queue accounting (SERVING.md). *)
 (* Flip the process-global call_rcu switch around [f] (structures created
    inside pick it up), restoring the previous setting. *)
 let with_call_rcu enabled f =
@@ -254,6 +160,9 @@ let with_call_rcu enabled f =
   Rec.set_call_rcu enabled;
   Fun.protect ~finally:(fun () -> Rec.set_call_rcu was) f
 
+(* Open-loop serving demo: stand up the sharded service over one
+   structure, offer a fixed load, report per-op latency percentiles and
+   the drop/queue accounting (SERVING.md). *)
 let serve name shards clients queue_depth drain_batch rate duration keys
     contains_pct write_mode max_retries retry_base_us deadline_ms call_rcu
     quick json_file =
@@ -646,27 +555,6 @@ let mutants seed =
   end;
   print_endline "mutants: OK (every seeded bug caught, every control silent)"
 
-let balance_demo keys =
-  let module T = Repro_citrus.Citrus_int.Epoch in
-  let t = T.create () in
-  let h = T.register t in
-  for k = 1 to keys do
-    ignore (T.insert h k k)
-  done;
-  Printf.printf "inserted %d ascending keys: height %d (degenerate)\n%!" keys
-    (T.height t);
-  let t0 = Unix.gettimeofday () in
-  let rotations = T.balance ~max_passes:200 h in
-  Printf.printf "balance: %d rotations in %.2fs -> height %d (log2 ~ %d)\n"
-    rotations
-    (Unix.gettimeofday () -. t0)
-    (T.height t)
-    (int_of_float (ceil (log (float_of_int keys) /. log 2.)));
-  T.check_invariants t;
-  assert (T.size t = keys);
-  T.unregister h;
-  print_endline "contents verified intact"
-
 open Cmdliner
 
 let name_arg =
@@ -694,55 +582,9 @@ let stress_cmd =
     (Cmd.info "stress" ~doc:"Stress one structure and verify its invariants.")
     Term.(const stress $ name_arg $ threads $ duration $ keys $ contains)
 
-let lincheck_cmd =
-  let rounds =
-    Arg.(value & opt int 20 & info [ "rounds" ] ~doc:"Histories to record.")
-  in
-  let threads =
-    Arg.(value & opt int 3 & info [ "threads" ] ~doc:"Recording domains.")
-  in
-  let ops =
-    Arg.(value & opt int 12 & info [ "ops" ] ~doc:"Operations per domain.")
-  in
-  let keys =
-    Arg.(value & opt int 4 & info [ "keys" ] ~doc:"Key range (keep tiny).")
-  in
-  Cmd.v
-    (Cmd.info "lincheck"
-       ~doc:"Record concurrent histories and check linearizability.")
-    Term.(const lincheck $ name_arg $ rounds $ threads $ ops $ keys)
-
 let list_command =
   Cmd.v (Cmd.info "list" ~doc:"List available structures.")
     Term.(const list_cmd $ const ())
-
-let soak_cmd =
-  let trials =
-    Arg.(value & opt int 5_000 & info [ "trials" ] ~doc:"Soak trials.")
-  in
-  Cmd.v
-    (Cmd.info "soak"
-       ~doc:"Single-key conservation soak (lost/duplicated-update detector).")
-    Term.(const soak $ name_arg $ trials)
-
-let latency_cmd =
-  let threads =
-    Arg.(value & opt int 4 & info [ "threads" ] ~doc:"Worker domains.")
-  in
-  let duration =
-    Arg.(value & opt float 1.0 & info [ "duration" ] ~doc:"Seconds.")
-  in
-  let keys =
-    Arg.(value & opt int 16_384 & info [ "keys" ] ~doc:"Key range size.")
-  in
-  let contains =
-    Arg.(
-      value & opt int 50
-      & info [ "contains" ] ~doc:"Percentage of contains operations.")
-  in
-  Cmd.v
-    (Cmd.info "latency" ~doc:"Per-operation latency percentiles.")
-    Term.(const latency $ name_arg $ threads $ duration $ keys $ contains)
 
 let stats_cmd =
   let threads =
@@ -783,15 +625,6 @@ let stats_cmd =
     Term.(
       const stats $ name_arg $ threads $ duration $ keys $ contains $ trace
       $ json)
-
-let balance_cmd =
-  let keys =
-    Arg.(value & opt int 50_000 & info [ "keys" ] ~doc:"Ascending keys to insert.")
-  in
-  Cmd.v
-    (Cmd.info "balance"
-       ~doc:"Demonstrate maintenance rebalancing on a degenerate tree.")
-    Term.(const balance_demo $ keys)
 
 let serve_cmd =
   let structure =
@@ -1244,10 +1077,6 @@ let main =
       serve_cmd;
       chaos_cmd;
       stats_cmd;
-      lincheck_cmd;
-      balance_cmd;
-      latency_cmd;
-      soak_cmd;
       torture_cmd;
       mutants_cmd;
     ]

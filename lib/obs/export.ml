@@ -1,10 +1,7 @@
-module Metrics = Repro_sync.Metrics
 module Trace = Repro_sync.Trace
 
 let metrics_json snapshot =
   Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) snapshot)
-
-let live_metrics_json () = metrics_json (Metrics.snapshot ())
 
 let event_json (e : Trace.event) =
   Json.Obj

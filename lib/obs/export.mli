@@ -8,9 +8,6 @@ val metrics_json : (string * float) list -> Json.t
 (** Render a metrics snapshot (as returned by {!Repro_sync.Metrics.snapshot}
     or carried in a runner result) as one flat JSON object. *)
 
-val live_metrics_json : unit -> Json.t
-(** [metrics_json (Metrics.snapshot ())]. *)
-
 val trace_json : ?limit:int -> unit -> Json.t
 (** The retained trace ring as JSON: capacity, total recorded, and the
     newest [limit] events (default: all retained), oldest first. Call after

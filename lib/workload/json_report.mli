@@ -35,8 +35,6 @@ val summary_json : Latency.summary -> Repro_obs.Json.t
     every report producer so per-op percentiles parse uniformly
     (the serving reports of [Repro_server.Serve] use it too). *)
 
-val experiment_json : experiment -> Repro_obs.Json.t
-
 val report : ?meta:(string * Repro_obs.Json.t) list -> experiment list -> Repro_obs.Json.t
 (** The full document: schema version, generator, timestamp, any [meta]
     fields (e.g. the benchmark scale), then the experiments. *)

@@ -183,7 +183,8 @@ module Conformance (D : Repro_dict.Dict.DICT) = struct
   (* Single-key conservation: with all traffic on one key, the successful
      inserts and deletes must interleave strictly (diff ∈ {0,1} and final
      presence = diff). This is the test that caught a descriptor-ABA bug
-     in the Ellen BST port — keep it hot. *)
+     in a since-deleted port of Ellen et al.'s BST (DESIGN.md §8) — keep
+     it hot. *)
   let test_single_key_conservation () =
     for trial = 1 to 60 do
       let t = D.create () in

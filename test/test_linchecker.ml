@@ -352,9 +352,7 @@ let schedule_suite =
       (module Repro_dict.Dict.Citrus_epoch : Repro_dict.Dict.DICT);
       (module Repro_dict.Dict.Avl);
       (module Repro_dict.Dict.Nm);
-      (module Repro_dict.Dict.Ellen);
       (module Repro_dict.Dict.Skiplist);
-      (module Repro_dict.Dict.Cf);
     ]
 
 (* Bigger recorded histories, feasible only through per-key composition. *)
