@@ -63,7 +63,7 @@ let stress name threads duration key_range contains_pct =
   let cfg =
     W.config ~key_range ~threads ~duration ~role:(W.Uniform mix) ()
   in
-  Printf.printf "stressing %s: %d threads, %.1fs, keys [0,%d), %s\n%!" D.name
+  Printf.printf "stressing %s: %d threads, %gs, keys [0,%d), %s\n%!" D.name
     threads duration key_range
     (Format.asprintf "%a" W.pp_mix mix);
   let r = registry_guard threads (fun () -> Runner.run (module D) cfg) in
@@ -83,7 +83,7 @@ let stats name threads duration keys contains_pct trace_events json_file =
     Repro_sync.Trace.configure ~capacity:(max 1024 trace_events);
     Repro_sync.Trace.start ()
   end;
-  Printf.printf "observing %s: %d threads, %.1fs, keys [0,%d), %s\n%!" D.name
+  Printf.printf "observing %s: %d threads, %gs, keys [0,%d), %s\n%!" D.name
     threads duration keys
     (Format.asprintf "%a" W.pp_mix mix);
   let r =
@@ -182,7 +182,7 @@ let serve name shards clients queue_depth drain_batch rate duration keys
       exit 2
   in
   Printf.printf
-    "serving %s: %d shards, %d clients, %.0f ops/s offered for %.1fs, keys \
+    "serving %s: %d shards, %d clients, %.0f ops/s offered for %gs, keys \
      [0,%d), %s, %s writes, queue depth %d, drain batch %d%s\n\
      %!"
     D.name shards clients rate duration keys
@@ -288,7 +288,7 @@ let chaos name shards clients queue_depth drain_batch rate duration keys
       exit 2
   in
   Printf.printf
-    "chaos on %s: %d shards, %d clients, %.0f ops/s for %.1fs, %d forced \
+    "chaos on %s: %d shards, %d clients, %.0f ops/s for %gs, %d forced \
      crash(es) per shard, stall rate %g, stall-reader=%b, sanitize=%b \
      lockdep=%b call_rcu=%b\n\
      %!"

@@ -14,10 +14,8 @@
       voids all of them.
    3. No raw [Atomic] writes to documented lock-protected fields from
       outside the owning file: [gp_seq] (urcu — written only by the
-      gp_lock holder), [serving] (ticket lock — written only by the
-      lock holder), [left_tag]/[right_tag] (citrus — written only under
-      the node lock).
-      Reads stay free, as the algorithms require.
+      gp_lock holder) and [serving] (ticket lock — written only by the
+      lock holder). Reads stay free, as the algorithms require.
    4. Every .ml under lib/ has a matching .mli, so representation
       invariants stay sealed; module-type-only *_intf.ml files are
       exempt (an .mli would duplicate them token for token).
@@ -27,12 +25,11 @@
       schedules, mutation verdicts, and latency reports all depend on
       it).
    6. No get-then-set read-modify-write on the protocol counters
-      ([gp_seq], [gp_completed], [gp_started], [scanning], [serving],
-      [left_tag], [right_tag]): an [Atomic.set] whose value nests an
-      [Atomic.get] of the same field loses concurrent updates — use
-      [fetch_and_add] or [compare_and_set]. Reader slot words and the
-      lock-held [gp_ctr] flip are exempt: their get-then-set is
-      single-writer by protocol.
+      ([gp_seq], [gp_completed], [gp_started], [scanning], [serving]):
+      an [Atomic.set] whose value nests an [Atomic.get] of the same
+      field loses concurrent updates — use [fetch_and_add] or
+      [compare_and_set]. Reader slot words and the lock-held [gp_ctr]
+      flip are exempt: their get-then-set is single-writer by protocol.
 
    Exits 1 with file:line diagnostics on any violation, silently 0
    otherwise. *)
@@ -57,8 +54,6 @@ let protected_fields =
   [
     ("gp_seq", "lib/rcu/urcu.ml");
     ("serving", "lib/sync/ticket_lock.ml");
-    ("left_tag", "lib/citrus/citrus.ml");
-    ("right_tag", "lib/citrus/citrus.ml");
   ]
 
 let atomic_write_fns =
@@ -82,8 +77,7 @@ let wall_clock_idents = [ "gettimeofday"; "time"; "now_ns"; "now" ]
    bug. Reader slot words ([slot]) and [gp_ctr] are deliberately absent —
    their get-then-set is single-writer (own slot, or under gp_lock). *)
 let rmw_fields =
-  [ "gp_seq"; "gp_completed"; "gp_started"; "scanning"; "serving";
-    "left_tag"; "right_tag" ]
+  [ "gp_seq"; "gp_completed"; "gp_started"; "scanning"; "serving" ]
 
 (* --- parsetree rules --- *)
 

@@ -278,22 +278,24 @@ let check_invariants t =
   in
   walk0 min_int (Atomic.get t.head.next.(0));
   (* Every node reachable at level [l] must be reachable at level [l-1]
-     (towers are contiguous), and each level is sorted. *)
+     (towers are contiguous), and each level is sorted. Both levels are
+     sorted (level [l-1] was checked by the previous pass), so the two are
+     walked together: the cursor [below] on level [l-1] only moves
+     forward, and a pass costs the length of the two levels. *)
   for level = 1 to t.max_level - 1 do
-    let rec walk prev n =
+    let rec walk prev below n =
       if n != t.tail then begin
         if n.key <= prev then fail "upper level keys not strictly increasing";
         if n.top_level < level then fail "node reachable above its top level";
-        (* Check presence at the level below by searching from head. *)
-        let rec present m =
-          if m == t.tail then false
-          else if m == n then true
-          else present (Atomic.get m.next.(level - 1))
+        let rec seek m =
+          if m == t.tail then fail "tower not contiguous across levels"
+          else if m == n then m
+          else seek (Atomic.get m.next.(level - 1))
         in
-        if not (present (Atomic.get t.head.next.(level - 1))) then
-          fail "tower not contiguous across levels";
-        walk n.key (Atomic.get n.next.(level))
+        let below = seek below in
+        walk n.key below (Atomic.get n.next.(level))
       end
     in
-    walk min_int (Atomic.get t.head.next.(level))
+    walk min_int (Atomic.get t.head.next.(level - 1))
+      (Atomic.get t.head.next.(level))
   done

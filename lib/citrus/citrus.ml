@@ -35,10 +35,17 @@ let abba_delete_bug = Atomic.make false
 let sync_in_read_bug = Atomic.make false
 let unbalanced_unlock_bug = Atomic.make false
 
+(* Protocol mutant for [check_invariants] (lib/mutants): every emptying
+   store writes the shared immediate [Nil] instead of a fresh [Empty], so
+   a slot can return to a value a parked insert already saw — the ABA the
+   paper's tags exist for. *)
+let shared_empty_bug = Atomic.make false
+
 module Buggy = struct
   let abba_delete b = Atomic.set abba_delete_bug b
   let sync_in_read b = Atomic.set sync_in_read_bug b
   let unbalanced_unlock b = Atomic.set unbalanced_unlock_bug b
+  let shared_empty b = Atomic.set shared_empty_bug b
 end
 
 module type ORDERED = sig
@@ -47,9 +54,9 @@ module type ORDERED = sig
   val compare : t -> t -> int
 end
 
-(* Directions (the paper's child[direction] index) and the pure
-   traversal/validation fragments live in Citrus_proto, shared with the
-   model checker (lib/modelcheck). *)
+(* Directions (the paper's child[direction] index) and the search
+   direction live in Citrus_proto, shared with the model checker
+   (lib/modelcheck), beside the pure validate predicate. *)
 let left = Citrus_proto.left
 let right = Citrus_proto.right
 
@@ -68,24 +75,31 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   let node_cls =
     Lockdep.new_class ~ordered:true Lockdep.Tree_node ("citrus/" ^ R.name)
 
-  (* A child slot holds [Nil] (an immediate: an empty slot is no block) or
-     a [Node] whose record is inline (no [Some] box), so each level of the
-     wait-free walk costs two dependent loads: the node, whose first fields
-     are the key and both slots, then the [Atomic.t] of the chosen slot,
-     whose content is the next node itself. Keys are raw [K.t]: the
-     sentinel (see [t]) is never compared, so no wrapper type is needed. *)
+  (* A child slot holds a [Node] whose record is inline (no [Some] box), so
+     each level of the wait-free walk costs two dependent loads: the node,
+     whose first fields are the key and both slots, then the [Atomic.t] of
+     the chosen slot, whose content is the next node itself. Keys are raw
+     [K.t]: the sentinel (see [t]) is never compared, so no wrapper type is
+     needed. The record is 7 fields, an 8-word block: one cache line.
+
+     An empty slot holds [Nil] (an immediate) until it is first filled,
+     and from then on, each time it is emptied, a freshly allocated
+     [Empty] ([by] is the emptying handle's id: a runtime value, so every
+     [Empty] is a new block). This replaces the paper's per-child tags
+     (lines 39-41): the values a published slot holds never repeat — an
+     unlinked node is never re-linked, since deletes and rotations publish
+     copies, and every emptying store allocates — so an insert that finds
+     [child prev dir == seen] under the lock knows the slot was not
+     filled and emptied since its search saw [seen]. The GC never reuses a
+     block the waiting insert still holds. *)
   type 'v node =
     | Nil
+    | Empty of { by : int }
     | Node of {
         key : K.t; (* never changes (Section 2) *)
         left : 'v node Atomic.t;
         right : 'v node Atomic.t;
         value : 'v option; (* None only in the sentinel; never changes *)
-        left_tag : int Atomic.t;
-        right_tag : int Atomic.t;
-            (* Per-child ABA tags. Atomics because get reads
-               prev.tag[dir] inside the read-side critical section while
-               updates increment it under the node lock. *)
         mutable marked : bool; (* accessed only under [lock] *)
         lock : Spinlock.t;
         mutable shadow : San.record option;
@@ -132,13 +146,10 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     id : int;
     bag : Rec.producer option; (* Some iff the tree has a reclaimer *)
     mutable prev : 'v node;
-    mutable tag : int;
     mutable dir : int;
         (* [get]'s results besides the node it returns: that node's parent
-           [prev], the direction from [prev] to it, and the snapshot of
-           prev.tag[dir] taken inside the read-side critical section.
-           Written here rather than returned, so a search allocates
-           nothing. *)
+           [prev] and the direction from [prev] to it. Written here rather
+           than returned, so a search allocates nothing. *)
   }
 
   let new_node key value =
@@ -148,35 +159,40 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         left = Atomic.make Nil;
         right = Atomic.make Nil;
         value;
-        left_tag = Atomic.make 0;
-        right_tag = Atomic.make 0;
         marked = false;
         lock = Spinlock.create ~cls:node_cls ();
         shadow = None;
       }
 
   (* Field access on a node the caller reached or holds. The update paths
-     only apply these to [Node]s; [Nil] has no fields. *)
+     only apply these to [Node]s; an empty slot has no fields. *)
   let absent () = invalid_arg "Citrus: field of an empty child slot"
 
   let slot n dir =
     match n with
     | Node r -> if dir = left then r.left else r.right
-    | Nil -> absent ()
-
-  let tag_slot n dir =
-    match n with
-    | Node r -> if dir = left then r.left_tag else r.right_tag
-    | Nil -> absent ()
+    | Nil | Empty _ -> absent ()
 
   let child n dir = Atomic.get (slot n dir)
-  let lock n = match n with Node r -> r.lock | Nil -> absent ()
-  let marked n = match n with Node r -> r.marked | Nil -> absent ()
-  let mark n = match n with Node r -> r.marked <- true | Nil -> absent ()
+  let is_empty n = match n with Node _ -> false | Nil | Empty _ -> true
+  let lock n = match n with Node r -> r.lock | Nil | Empty _ -> absent ()
+  let marked n = match n with Node r -> r.marked | Nil | Empty _ -> absent ()
+
+  let mark n =
+    match n with Node r -> r.marked <- true | Nil | Empty _ -> absent ()
+
+  (* What a store into a published slot writes to make it hold [n]: [n]
+     itself, or a fresh [Empty] when [n] is empty (see ['v node]). *)
+  let filled h n =
+    match n with
+    | Node _ -> n
+    | Nil | Empty _ ->
+        if Atomic.get shared_empty_bug then Nil else Empty { by = h.id }
 
   (* An unlinked, unlocked node with [n]'s key and value and no children:
      the successor copy of a two-child delete, and a rotation's copy. *)
-  let copy n = match n with Node r -> new_node r.key r.value | Nil -> absent ()
+  let copy n =
+    match n with Node r -> new_node r.key r.value | Nil | Empty _ -> absent ()
 
   let create ?max_threads ?(reclamation = false)
       ?(call_rcu = Repro_rcu.Reclaimer.call_rcu_enabled ()) () =
@@ -226,7 +242,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       id = Atomic.fetch_and_add tree.handle_ids 1;
       bag = Option.map Rec.new_producer tree.reclaimer;
       prev = Nil;
-      tag = 0;
       dir = left;
     }
 
@@ -243,7 +258,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         let s = San.register t.san in
         r.shadow <- Some s;
         Some s
-    | Node _ | Nil -> None
+    | Node _ | Nil | Empty _ -> None
 
   (* Retire an unlinked node: the reclaimer frees it one grace period
      later, when no reader can hold it. Under the GC the free is the
@@ -280,24 +295,24 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
     match n with
     | Node { shadow = Some s; _ } ->
         San.check ~slot:(R.reader_slot h.rt) ~cookie:(R.reader_cookie h.rt) s
-    | Node { shadow = None; _ } | Nil -> ()
+    | Node { shadow = None; _ } | Nil | Empty _ -> ()
 
   let san_note h n =
     match n with
     | Node { shadow = Some s; _ } ->
         San.note ~slot:(R.reader_slot h.rt) ~cookie:(R.reader_cookie h.rt) s
-    | Node { shadow = None; _ } | Nil -> ()
+    | Node { shadow = None; _ } | Nil | Empty _ -> ()
 
   let san_observe n =
     match n with
     | Node { shadow = Some s; _ } -> San.observe s
-    | Node { shadow = None; _ } | Nil -> ()
+    | Node { shadow = None; _ } | Nil | Empty _ -> ()
 
   (* get (paper lines 1-15): wait-free search inside an RCU read-side
-     critical section. Returns curr, the node holding [key] (or [Nil]),
-     and leaves in the handle its parent [h.prev], the direction [h.dir]
-     from the parent to it, and [h.tag], the snapshot of
-     prev.tag[direction] taken inside the critical section. The walk
+     critical section. Returns curr, the node holding [key] or the empty
+     value ([Nil] or an [Empty]) it stopped at — insert's stand-in for the
+     paper's tag snapshot (line 13) — and leaves in the handle its parent
+     [h.prev] and the direction [h.dir] from the parent to it. The walk
      starts below the sentinel, as if the paper's search had just gone
      left from it; before the first insert there is no sentinel, and
      [h.prev] is [Nil].
@@ -322,13 +337,14 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       let san_on = San.enabled () in
       let prev = ref (Atomic.get t.sentinel) in
       let curr =
-        ref (match !prev with Node s -> Atomic.get s.left | Nil -> Nil)
+        ref
+          (match !prev with Node s -> Atomic.get s.left | Nil | Empty _ -> Nil)
       in
       let direction = ref left in
       let continue = ref true in
       while !continue do
         match !curr with
-        | Nil -> continue := false
+        | Nil | Empty _ -> continue := false
         | Node c ->
             if fault_on then Fault.inject fault_read_step;
             if san_on then san_check h !curr;
@@ -341,14 +357,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
               curr := Atomic.get (if d = left then c.left else c.right)
             end
       done;
-      (* Save the tag inside the read-side critical section (line 13);
-         [prev] was vetted when traversed, but the tag dereference must
-         not outlive its grace period either. *)
-      (match !prev with
-      | Node _ ->
-          if san_on then san_check h !prev;
-          h.tag <- Atomic.get (tag_slot !prev !direction)
-      | Nil -> ());
       h.prev <- !prev;
       h.dir <- !direction;
       !curr
@@ -362,33 +370,29 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
         Printexc.raise_with_backtrace e bt
 
   (* contains (lines 16-20). *)
-  let contains h key = match get h key with Node c -> c.value | Nil -> None
-  let mem h key = match get h key with Node _ -> true | Nil -> false
+  let contains h key =
+    match get h key with Node c -> c.value | Nil | Empty _ -> None
+
+  let mem h key = match get h key with Node _ -> true | Nil | Empty _ -> false
 
   (* validate (lines 33-38): purely local checks under the caller-held
-     locks. The paper's prev.child[direction] = curr is node identity. *)
-  let validate prev tag curr direction =
+     locks. The paper's prev.child[direction] = curr is identity, of the
+     node or of the empty value [get] stopped at; the identity of an empty
+     value subsumes the paper's tag comparison (see ['v node]). *)
+  let validate prev curr direction =
     Citrus_proto.validate ~prev_marked:(marked prev)
       ~child_same:(child prev direction == curr)
-      ~curr_marked:(match curr with Node c -> Some c.marked | Nil -> None)
-      ~tag
-      ~tag_now:(fun () -> Atomic.get (tag_slot prev direction))
-
-  (* incrementTag (lines 39-41): bump the ABA tag when a child slot becomes
-     empty. *)
-  let increment_tag node direction =
-    if child node direction == Nil then
-      ignore (Atomic.fetch_and_add (tag_slot node direction) 1)
+      ~curr_marked:(match curr with Node c -> c.marked | Nil | Empty _ -> false)
 
   (* insert (lines 21-32). *)
   let rec insert h key value =
     let t = h.tree in
     match get h key with
     | Node _ -> false (* the key was found (line 25) *)
-    | Nil -> (
-        let prev = h.prev and tag = h.tag and direction = h.dir in
+    | (Nil | Empty _) as seen -> (
+        let prev = h.prev and direction = h.dir in
         match prev with
-        | Nil ->
+        | Nil | Empty _ ->
             (* First insert into the tree: install the sentinel, keyed by
                this key (never compared), and search again below it. *)
             ignore (Atomic.compare_and_set t.sentinel Nil (new_node key None));
@@ -397,7 +401,7 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
             t.hooks.between_get_and_lock ();
             Spinlock.acquire_ordered p.lock 0;
             if San.enabled () then san_observe prev;
-            if validate prev tag Nil direction then begin
+            if validate prev seen direction then begin
               let node = new_node key (Some value) in
               Atomic.set (slot prev direction) node;
               (* Seeded bug (lockdep mutant): unlock the new node's lock —
@@ -431,13 +435,13 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
          and lets the locks be released normally. *)
       if San.enabled () then san_note h succ;
       match child succ left with
-      | Nil -> (prev_succ, succ)
-      | next -> down succ next
+      | Nil | Empty _ -> (prev_succ, succ)
+      | Node _ as next -> down succ next
     in
     let walk () =
       match child curr right with
-      | Nil -> assert false (* caller checked curr has two children *)
-      | first -> down curr first
+      | Nil | Empty _ -> assert false (* caller checked curr has two children *)
+      | Node _ as first -> down curr first
     in
     if not h.tree.reclamation then walk ()
     else begin
@@ -458,15 +462,11 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
      it must be. *)
   let unlink ~adopt h ~prev ~curr ~prev_succ ~succ ~node () =
     mark succ;
-    if prev_succ == curr then begin
+    let rest = filled h (child succ right) in
+    if prev_succ == curr then
       (* succ is the right child of curr, which [node] replaced. *)
-      Atomic.set (slot node right) (child succ right);
-      increment_tag node right
-    end
-    else begin
-      Atomic.set (slot prev_succ left) (child succ right);
-      increment_tag prev_succ left
-    end;
+      Atomic.set (slot node right) rest
+    else Atomic.set (slot prev_succ left) rest;
     release_ranked ~adopt node 4;
     release_ranked ~adopt succ 3;
     if curr != prev_succ then release_ranked ~adopt prev_succ 2;
@@ -478,8 +478,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
   let rec delete h key =
     let t = h.tree in
     match get h key with
-    | Nil -> false (* the key was not found (line 46) *)
-    | curr ->
+    | Nil | Empty _ -> false (* the key was not found (line 46) *)
+    | Node _ as curr ->
         let prev = h.prev and direction = h.dir in
         t.hooks.between_get_and_lock ();
         if Atomic.get abba_delete_bug then begin
@@ -499,19 +499,22 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
           san_observe prev;
           san_observe curr
         end;
-        if not (validate prev 0 curr direction) then begin
+        if not (validate prev curr direction) then begin
           Spinlock.release (lock curr);
           Spinlock.release (lock prev);
           note_restart t h;
           delete h key
         end
-        else if child curr left == Nil || child curr right == Nil then begin
+        else if is_empty (child curr left) || is_empty (child curr right)
+        then begin
           (* curr has at most one child: bypass it (lines 50-56,
              Figure 3(a)-(b)). *)
           mark curr;
-          let not_none_child = if child curr left != Nil then left else right in
-          Atomic.set (slot prev direction) (child curr not_none_child);
-          increment_tag prev direction;
+          let not_none_child =
+            if is_empty (child curr left) then right else left
+          in
+          Atomic.set (slot prev direction)
+            (filled h (child curr not_none_child));
           Spinlock.release (lock curr);
           Spinlock.release (lock prev);
           retire h curr;
@@ -531,10 +534,9 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
             san_observe prev_succ;
             san_observe succ
           end;
-          let succ_left_tag = Atomic.get (tag_slot succ left) in
           if
-            validate prev_succ 0 succ succ_direction
-            && validate succ succ_left_tag Nil left
+            validate prev_succ succ succ_direction
+            && is_empty (child succ left)
           then begin
             (* A fresh node with succ's key/value and curr's children
                (line 70), locked before it becomes reachable (line 71). *)
@@ -611,10 +613,6 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
           end
         end
 
-  (* Note on [validate prev 0 curr direction]: when curr is a node the tag
-     branch of validate is unreachable, matching the paper's
-     validate(prev,-,curr,direction) "don't care" tag argument. *)
-
   (* --- Quiescent-state helpers --- *)
 
   exception Invariant_violation of string
@@ -623,11 +621,13 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
 
   (* The subtree of real nodes: the sentinel's left child. *)
   let real_nodes t =
-    match Atomic.get t.sentinel with Nil -> Nil | s -> child s left
+    match Atomic.get t.sentinel with
+    | Node _ as s -> child s left
+    | Nil | Empty _ -> Nil
 
   let fold_inorder f acc t =
     let rec go acc = function
-      | Nil -> acc
+      | Nil | Empty _ -> acc
       | Node n ->
           let acc = go acc (Atomic.get n.left) in
           let acc =
@@ -646,14 +646,14 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
 
   let height t =
     let rec go = function
-      | Nil -> 0
+      | Nil | Empty _ -> 0
       | Node n -> 1 + max (go (Atomic.get n.left)) (go (Atomic.get n.right))
     in
     go (real_nodes t)
 
   let check_invariants t =
     let rec check lo hi = function
-      | Nil -> ()
+      | Nil | Empty _ -> ()
       | Node n ->
           if n.marked then fail "reachable node is marked";
           (* [retire] is the only place a node gets a shadow. *)
@@ -667,18 +667,17 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
           | Some hi when K.compare n.key hi >= 0 ->
               fail "BST order violated (upper bound)"
           | Some _ | None -> ());
-          if Atomic.get n.left_tag < 0 || Atomic.get n.right_tag < 0 then
-            fail "negative tag";
           check lo (Some n.key) (Atomic.get n.left);
           check (Some n.key) hi (Atomic.get n.right)
     in
     match Atomic.get t.sentinel with
-    | Nil -> ()
+    | Nil | Empty _ -> ()
     | Node s ->
         if Option.is_some s.value then fail "sentinel holds a value";
         if s.marked then fail "sentinel is marked";
         if Spinlock.is_locked s.lock then fail "sentinel is locked";
-        if Atomic.get s.right != Nil then fail "sentinel has a right child";
+        if not (is_empty (Atomic.get s.right)) then
+          fail "sentinel has a right child";
         check None None (Atomic.get s.left)
 
   let stats t =
@@ -745,11 +744,11 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
       else Nil
     in
     match rising with
-    | Nil ->
+    | Nil | Empty _ ->
         Spinlock.release (lock n);
         Spinlock.release (lock p);
         false
-    | c ->
+    | Node _ as c ->
         Spinlock.acquire_ordered (lock c) 2;
         if marked c then begin
           Spinlock.release (lock c);
@@ -796,8 +795,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
        refines them. *)
     let rec walk p pdir =
       match child p pdir with
-      | Nil -> (0, 0, 0)
-      | n ->
+      | Nil | Empty _ -> (0, 0, 0)
+      | Node _ as n ->
           let hl, hll, hlr = walk n left in
           let hr, hrl, hrr = walk n right in
           let stale = (1 + max hl hr, hl, hr) in
@@ -805,8 +804,9 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
             if hlr > hll then begin
               (* Zig-zag: raise the left child's right child first. *)
               (match child n left with
-              | Nil -> ()
-              | l -> if try_rotate h n left l left then incr rotations);
+              | Nil | Empty _ -> ()
+              | Node _ as l ->
+                  if try_rotate h n left l left then incr rotations);
               stale
             end
             else if try_rotate h p pdir n right then begin
@@ -819,8 +819,9 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
           else if hr > hl + 1 then begin
             if hrl > hrr then begin
               (match child n right with
-              | Nil -> ()
-              | r -> if try_rotate h n right r right then incr rotations);
+              | Nil | Empty _ -> ()
+              | Node _ as r ->
+                  if try_rotate h n right r right then incr rotations);
               stale
             end
             else if try_rotate h p pdir n left then begin
@@ -833,8 +834,8 @@ module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) = struct
           else stale
     in
     (match Atomic.get t.sentinel with
-    | Nil -> ()
-    | s -> ignore (walk s left));
+    | Nil | Empty _ -> ()
+    | Node _ as s -> ignore (walk s left));
     !rotations
 
   let balance ?(max_passes = 64) h =

@@ -3,8 +3,12 @@
     PODC 2014).
 
     The implementation is a direct transcription of the paper's pseudocode
-    (functions [get], [contains], [insert], [delete], [validate],
-    [incrementTag]); see the .ml for the line-number correspondence.
+    (functions [get], [contains], [insert], [delete], [validate]); see the
+    .ml for the line-number correspondence. The paper's per-child ABA tags
+    and [incrementTag] are replaced by identity: every store that empties
+    a child slot writes a freshly allocated empty marker, so an insert's
+    validation compares the slot with the very empty value its search
+    stopped at.
 
     Concurrency contract:
     - [contains] is wait-free (assuming finitely many keys) and runs inside
@@ -25,14 +29,14 @@ module type ORDERED = sig
   val compare : t -> t -> int
 end
 
-(** Mutation-testing hooks for the lockdep validator (see ROBUSTNESS.md,
-    "Mutation suite"): each switch seeds one locking-protocol bug into
-    the real update paths of {e every} [Make] instantiation. A
-    lockdep-armed run must report each as a structured
-    [Repro_lockdep.Lockdep.Violation] of the kind documented below;
-    disarmed, [abba_delete] and [sync_in_read] genuinely deadlock, so
-    only the single-domain, lockdep-armed rounds of the mutation registry
-    ([Repro_mutants.Mutants]) set them. *)
+(** Mutation-testing hooks (see ROBUSTNESS.md, "Mutation suite"): each
+    switch seeds one protocol bug into the real update paths of {e every}
+    [Make] instantiation. For the first three, a lockdep-armed run must
+    report a structured [Repro_lockdep.Lockdep.Violation] of the kind
+    documented below; disarmed, [abba_delete] and [sync_in_read]
+    genuinely deadlock, so only the single-domain, lockdep-armed rounds
+    of the mutation registry ([Repro_mutants.Mutants]) set them.
+    [shared_empty] is caught by {!Make.check_invariants}. *)
 module Buggy : sig
   val abba_delete : bool -> unit
   (** [delete] takes curr's lock before prev's — the inverted-order half
@@ -45,6 +49,13 @@ module Buggy : sig
   val unbalanced_unlock : bool -> unit
   (** [insert]'s success path unlocks the new node's lock — never taken
       by the caller — instead of prev's ([Release_not_held]). *)
+
+  val shared_empty : bool -> unit
+  (** Every store that empties a child slot writes the shared immediate
+      empty value instead of a fresh marker, so a slot that was filled
+      and emptied again looks unchanged to an insert parked since its
+      search: the insert links its key below a node that has since moved,
+      and the tree breaks BST order. *)
 end
 
 module Make (K : ORDERED) (R : Repro_rcu.Rcu.S) : sig

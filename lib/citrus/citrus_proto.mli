@@ -1,6 +1,6 @@
-(** Pure fragments of the Citrus algorithm shared with the model checker
-    (lib/modelcheck): child indices, search direction, and the validate
-    predicate, as total functions on plain values. *)
+(** Pure fragments of the Citrus algorithm: child indices and search
+    direction (shared with the model checker, lib/modelcheck), and the
+    validate predicate, as total functions on plain values. *)
 
 val left : int
 val right : int
@@ -9,13 +9,9 @@ val dir_of_cmp : int -> int
 (** Direction from a three-way comparison of node key vs search key:
     positive (node key greater) -> {!left}, otherwise {!right}. *)
 
-val validate :
-  prev_marked:bool ->
-  child_same:bool ->
-  curr_marked:bool option ->
-  tag:int ->
-  tag_now:(unit -> int) ->
-  bool
-(** validate (paper lines 33-38). [curr_marked] is [None] when [curr]
-    is absent, in which case the ABA [tag] is compared against
-    [tag_now ()] (a thunk: only read on that path). *)
+val validate : prev_marked:bool -> child_same:bool -> curr_marked:bool -> bool
+(** validate (paper lines 33-38): [prev] unmarked, its child in the
+    direction physically equal to what the search saw ([child_same]),
+    and [curr] unmarked ([curr_marked] is [false] when the search stopped
+    at an empty slot). Empty values are never reused, so [child_same]
+    also covers the paper's tag comparison. *)

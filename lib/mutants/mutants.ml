@@ -7,9 +7,9 @@
    The sanitizer hunts chase scheduling races. Fault-point delays widen
    the vulnerable windows far enough for a one-core scheduler to hit them
    within a few attempts, and each attempt takes a derived seed, so a
-   whole hunt replays from its base seed. The lockdep, chaos and model
-   entries are deterministic, or (direct-jumps-queue) repeat their race
-   within the run: one attempt decides them. *)
+   whole hunt replays from its base seed. The lockdep, chaos, model and
+   check_invariants entries are deterministic, or (direct-jumps-queue)
+   repeat their race within the run: one attempt decides them. *)
 
 module Fault = Repro_fault.Fault
 module San = Repro_sanitizer.Sanitizer
@@ -25,13 +25,19 @@ module Mod_queue = Repro_server.Mod_queue
 module Engine = Repro_modelcheck.Engine
 module Models = Repro_modelcheck.Models
 
-type detector = Sanitizer | Lockdep | Chaos_audit | Model_checker
+type detector =
+  | Sanitizer
+  | Lockdep
+  | Chaos_audit
+  | Model_checker
+  | Check_invariants
 
 let detector_name = function
   | Sanitizer -> "sanitizer"
   | Lockdep -> "lockdep"
   | Chaos_audit -> "chaos audit"
   | Model_checker -> "model checker"
+  | Check_invariants -> "check_invariants"
 
 type outcome = Detected of string | Undetected of string | Invalid of string
 
@@ -611,7 +617,59 @@ let model_entries =
       "Citrus retires unlinked nodes without a grace period";
   ]
 
-let all = sanitizer_entries @ lockdep_entries @ chaos_entries @ model_entries
+(* ---- check_invariants ----
+
+   The successor-move schedule (CORRECTNESS.md). Over {10, 5, 30}, an
+   insert of 15 parks between its search and its lock, with prev = 30 and
+   dir = left. Meanwhile another domain inserts 20 and deletes 10, which
+   has two children: successor 20 moves up and 30's left slot is emptied
+   again. The control's fresh empty marker makes the parked insert
+   restart and land below 5; the mutant's shared [Nil] looks unchanged,
+   so 15 is linked below 30, in 20's right subtree. Inline grace periods
+   (no call_rcu), so the unlink is done before the insert resumes. *)
+let successor_move () =
+  let module T = Citrus_int.Epoch in
+  let t = T.create ~call_rcu:false () in
+  let h = T.register t in
+  List.iter (fun k -> ignore (T.insert h k k)) [ 10; 5; 30 ];
+  let parked = Atomic.make false in
+  T.Hooks.between_get_and_lock t (fun () ->
+      if not (Atomic.exchange parked true) then
+        Domain.join
+          (Domain.spawn (fun () ->
+               let h2 = T.register t in
+               ignore (T.insert h2 20 20);
+               ignore (T.delete h2 10);
+               T.unregister h2)));
+  let inserted = T.insert h 15 15 in
+  let found = T.mem h 15 in
+  T.unregister h;
+  let ev =
+    Printf.sprintf "insert %b, found %b, %d restart(s)" inserted found
+      (List.assoc "restarts" (T.stats t))
+  in
+  match T.check_invariants t with
+  | () -> Undetected ev
+  | exception T.Invariant_violation msg -> Detected (msg ^ "; " ^ ev)
+
+let invariant_entries =
+  [
+    {
+      name = "citrus-shared-empty";
+      bug =
+        "Citrus empties a child slot with the shared Nil instead of a fresh \
+         empty marker";
+      detector = Check_invariants;
+      budget = 1;
+      run =
+        (fun ~mutate ~seed:_ ->
+          seeded ~mutate Repro_citrus.Citrus.Buggy.shared_empty successor_move);
+    };
+  ]
+
+let all =
+  sanitizer_entries @ lockdep_entries @ chaos_entries @ model_entries
+  @ invariant_entries
 
 (* ---- the runner ---- *)
 
@@ -657,6 +715,6 @@ let row v =
     | Detected _, ((Detected _ | Invalid _) as c) -> "control: " ^ evidence c
     | m, _ -> evidence m
   in
-  Printf.sprintf "%-26s %-13s %-20s %-7s %s" v.entry.name
+  Printf.sprintf "%-26s %-16s %-20s %-7s %s" v.entry.name
     (detector_name v.entry.detector)
     mutant control why

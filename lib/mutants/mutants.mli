@@ -4,10 +4,11 @@
     A detector that never fires on correct code proves only half its
     contract. Each {!entry} seeds one bug the paper's safety argument
     rules out — a skipped grace period, an early free, a lock-order slip,
-    a lost backlog, a misordered protocol step — and names the detector
-    that must catch it: the reclamation sanitizer, lockdep, the serving
-    layer's chaos audit or the DPOR model checker. The bug sits behind
-    the [Buggy] switch of the module that owns the code
+    a lost backlog, a misordered protocol step, a reused empty slot
+    value — and names the detector that must catch it: the reclamation
+    sanitizer, lockdep, the serving layer's chaos audit, the DPOR model
+    checker or Citrus's [check_invariants]. The bug sits behind the
+    [Buggy] switch of the module that owns the code
     ([Repro_rcu.Urcu], [Repro_rcu.Qsbr], [Repro_rcu.Reclaimer],
     [Repro_citrus.Citrus], [Repro_server.Shard_router],
     [Repro_server.Breaker], [Repro_server.Mod_queue]), in a no-op grace
@@ -19,7 +20,12 @@
     [citrus_tool mutants] and [test_mutants] both go through it, and
     ROBUSTNESS.md's "Mutation suite" table lists the same entries. *)
 
-type detector = Sanitizer | Lockdep | Chaos_audit | Model_checker
+type detector =
+  | Sanitizer
+  | Lockdep
+  | Chaos_audit
+  | Model_checker
+  | Check_invariants
 
 val detector_name : detector -> string
 
@@ -47,8 +53,9 @@ type entry = {
 }
 
 val all : entry list
-(** The 18 entries: four sanitizer hunts, three lockdep, four chaos and
-    seven model-checker entries, in that order. *)
+(** The 19 entries: four sanitizer hunts, three lockdep, four chaos,
+    seven model-checker entries and one check_invariants entry, in that
+    order. *)
 
 type verdict
 (** An entry's mutant hunt — the attempts it ran and the last attempt's

@@ -269,9 +269,9 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
   (* Tag/ABA scenario: insert targets an empty child slot; while paused, a
      concurrent pair of updates fills and re-empties a *different* part of
      the tree is not enough — we need the same slot to be emptied again. A
-     delete that bypasses a freshly inserted leaf reuses the slot and bumps
-     the tag, so the paused insert must restart rather than resurrect a
-     stale location. *)
+     delete that bypasses a freshly inserted leaf reuses the slot and
+     leaves a fresh empty marker in it (the paper bumps the tag), so the
+     paused insert must restart rather than resurrect a stale location. *)
   let test_insert_restart_on_tag_change () =
     let t = T.create () in
     let h = T.register t in
@@ -283,8 +283,9 @@ module Behaviour (R : Repro_rcu.Rcu.S) = struct
           let d =
             Domain.spawn (fun () ->
                 let h2 = T.register t in
-                (* Fill 50's left slot, then empty it again: the slot looks
-                   identical to the paused insert, but the tag differs. *)
+                (* Fill 50's left slot, then empty it again: the slot is
+                   empty, as the paused insert saw it, but it holds a
+                   different empty value. *)
                 ignore (T.insert h2 25 25);
                 ignore (T.delete h2 25);
                 T.unregister h2)
@@ -774,6 +775,33 @@ let test_string_keys () =
   S.check_invariants t;
   S.unregister h
 
+(* A node's heap footprint: the 8-word node block (header and 7 fields,
+   one 64-byte line), the two 2-word slot atomics, the 2-word [Some] box
+   of its value and its 6-word lock make 20 words. Measured as the
+   difference between two trees built from the same shuffled key order,
+   so everything held once per tree cancels. A field added to the node
+   record moves the figure off 20, and the block off its line. *)
+let test_node_footprint () =
+  let module T = Repro_citrus.Citrus_int.Epoch in
+  let order = Array.init 8192 Fun.id in
+  let rng = Rng.create 25L in
+  for i = Array.length order - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  let words n =
+    let t = T.create ~call_rcu:false () in
+    let h = T.register t in
+    for i = 0 to n - 1 do
+      ignore (T.insert h order.(i) order.(i))
+    done;
+    T.unregister h;
+    Obj.reachable_words (Obj.repr t)
+  in
+  checki "words per node" 20 ((words 8192 - words 4096) / 4096)
+
 let () =
   Alcotest.run "citrus"
     [
@@ -781,4 +809,6 @@ let () =
       Urcu_tests.suite "citrus/urcu";
       Qsbr_tests.suite "citrus/qsbr";
       ("generic keys", [ Alcotest.test_case "string keys" `Quick test_string_keys ]);
+      ( "node layout",
+        [ Alcotest.test_case "words per node" `Quick test_node_footprint ] );
     ]

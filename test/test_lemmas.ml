@@ -124,9 +124,10 @@ let test_successor_invalidated_between_walk_and_lock () =
   T.check_invariants t;
   T.unregister h
 
-(* --- Lemma 3: the tag detects any number of fill/empty cycles of a child
-   slot between an insert's get and its lock acquisition (the ABA the tag
-   field exists for). --- *)
+(* --- Lemma 3: an insert detects any number of fill/empty cycles of a
+   child slot between its get and its lock acquisition (the ABA the
+   paper's tag exists for; here each emptying stores a fresh empty
+   marker, so the slot never again holds the value the insert saw). --- *)
 
 let test_lemma3_tag_survives_many_cycles () =
   let t = T.create () in
@@ -139,8 +140,9 @@ let test_lemma3_tag_survives_many_cycles () =
         (Domain.self () :> int) = Atomic.get inserter_id
         && not (Atomic.exchange fired true)
       then begin
-        (* While the insert of 20 is parked with (prev=50, left, tag=t0),
-           cycle the slot through many identical-looking states. *)
+        (* While the insert of 20 is parked with (prev=50, left, the empty
+           value it saw), cycle the slot through many identical-looking
+           states. *)
         let d =
           Domain.spawn (fun () ->
               let h2 = T.register t in
@@ -166,6 +168,42 @@ let test_lemma3_tag_survives_many_cycles () =
   Alcotest.check Alcotest.(option int) "inserted value intact" (Some 20)
     (T.contains h 20);
   T.check_invariants t;
+  T.unregister h
+
+(* --- Lemma 3 through a successor move: the slot a parked insert saw
+   empty is filled and emptied again by a two-children delete's unlink,
+   not by a one-child bypass, and its parent has meanwhile moved to
+   another key range. The insert must still restart. --- *)
+
+let test_successor_move_reempties_parked_slot () =
+  let t = T.create ~call_rcu:false () in
+  let h = T.register t in
+  (* 10 { 5, 30 }: the insert of 15 stops at 30's empty left slot. *)
+  List.iter (fun k -> ignore (T.insert h k k)) [ 10; 5; 30 ];
+  let fired = Atomic.make false in
+  T.Hooks.between_get_and_lock t (fun () ->
+      if not (Atomic.exchange fired true) then begin
+        (* Fill 30's left slot with 20, then delete 10: its successor 20
+           moves up to 10's place, so 30 now sits in 20's right subtree,
+           and the unlink of the old 20 empties 30's left slot again. *)
+        let d =
+          Domain.spawn (fun () ->
+              let h2 = T.register t in
+              assert (T.insert h2 20 20);
+              assert (T.delete h2 10);
+              T.unregister h2)
+        in
+        Domain.join d
+      end);
+  checkb "insert succeeds" true (T.insert h 15 15);
+  T.Hooks.between_get_and_lock t ignore;
+  checkb "restart was forced" true (List.assoc "restarts" (T.stats t) > 0);
+  checkb "15 found" true (T.mem h 15);
+  T.check_invariants t;
+  Alcotest.check
+    Alcotest.(list int)
+    "final keys" [ 5; 15; 20; 30 ]
+    (List.map fst (T.to_list t));
   T.unregister h
 
 (* --- Lemma 8: a key that stays in the tree for the whole duration of a
@@ -385,5 +423,7 @@ let () =
             test_contains_linearization;
           Alcotest.test_case "reclamation preserves linearizability" `Quick
             test_reclamation_linearizable;
+          Alcotest.test_case "Lemma 3: successor move re-empties the slot"
+            `Quick test_successor_move_reempties_parked_slot;
         ] );
     ]

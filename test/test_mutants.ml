@@ -29,6 +29,7 @@ let required =
     "reclaimer!stale-cookie";
     "citrus!publish-before-init";
     "citrus!skip-gp";
+    "citrus-shared-empty";
   ]
 
 let contains s sub =
@@ -73,8 +74,9 @@ let () =
     (( "registry",
        [
          Alcotest.test_case "names unique" `Quick test_unique;
-         Alcotest.test_case "all 18 bugs registered" `Quick test_required;
+         Alcotest.test_case "all 19 bugs registered" `Quick test_required;
          Alcotest.test_case "every entry documented" `Quick test_documented;
        ] )
     :: List.map group
-         Mutants.[ Sanitizer; Lockdep; Chaos_audit; Model_checker ])
+         Mutants.
+           [ Sanitizer; Lockdep; Chaos_audit; Model_checker; Check_invariants ])
